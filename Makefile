@@ -1,6 +1,9 @@
 # Development targets for ctxres. `make` (or `make check`) is the default
 # gate: vet + build + full test suite + race-mode run of the packages with
-# real concurrency (the parallel checker and the middleware around it).
+# real concurrency (the parallel checker and the middleware around it) +
+# vet and unit tests of the nested benchmark module, which imports
+# internal/... and so breaks on internal-API changes that tier-1 alone
+# would not notice.
 
 GO ?= go
 FUZZTIME ?= 30s
@@ -8,9 +11,9 @@ SOAKTIME ?= 3m
 
 .DEFAULT_GOAL := check
 
-.PHONY: check build test race bench bench-smoke vet cover fuzz-smoke smoke soak
+.PHONY: check build test race bench-module loc bench bench-smoke vet cover fuzz-smoke smoke soak
 
-check: vet build test race
+check: vet build test race bench-module
 
 build:
 	$(GO) build ./...
@@ -20,6 +23,14 @@ test:
 
 race:
 	$(GO) test -race ./internal/constraint ./internal/middleware ./internal/pool ./internal/wal ./internal/daemon/... ./internal/cluster ./internal/metrics ./internal/telemetry ./internal/health ./internal/soak ./internal/testutil/leakcheck
+
+bench-module:
+	$(GO) vet -C bench ./... && $(GO) test -C bench ./...
+
+# loc is the one agreed counter for the ROADMAP's code-size goal: non-test
+# Go lines outside the nested benchmark module.
+loc:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l
 
 # soak runs the chaos storms in internal/soak for SOAKTIME (default 3m)
 # under the race detector: overload bursts, a flapping corrupted source,

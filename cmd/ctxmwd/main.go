@@ -304,6 +304,33 @@ func setup(args []string) (*daemonProc, error) {
 		return spanFile.Close()
 	}
 
+	// The provenance ring is always on for a serving daemon: appends are
+	// bounded and only happen on resolutions, and the provenance op
+	// answers from it with or without tracing.
+	prov := telemetry.NewProvenanceRing(0)
+
+	// baseServe is the one serve-option set every role's serving loop gets
+	// — leader, promoted follower, and router alike — so the connection
+	// limits hold wherever a client connects. The snapshot interval and
+	// replication source vary per path; the middleware-only options are
+	// inert on a router.
+	baseServe := []daemon.Option{
+		daemon.WithIdleTimeout(*idle),
+		daemon.WithMaxConns(*maxConns),
+		daemon.WithDrainTimeout(*drain),
+		daemon.WithCompactInterval(*compactEvery),
+		daemon.WithSubscriptions(daemon.SubscriptionOptions{
+			MaxSubscribers: *maxSubscribers,
+			QueueLen:       *subQueue,
+		}),
+		daemon.WithTelemetry(reg),
+		daemon.WithProvenance(prov),
+	}
+	if spans != nil {
+		baseServe = append(baseServe,
+			daemon.WithTracing(spans, telemetry.NewSampler(*traceSample)))
+	}
+
 	// Router mode needs only the checker (for the source-locality analysis
 	// that decides which constraints scatter); no middleware runs here.
 	if *routerMode {
@@ -311,7 +338,7 @@ func setup(args []string) (*daemonProc, error) {
 			Shards:    splitShards(*shardList),
 			Checker:   checker,
 			Timeout:   10 * time.Second,
-			MaxConns:  *maxConns,
+			Serve:     baseServe,
 			Telemetry: reg,
 			Logf: func(format string, args ...any) {
 				fmt.Printf("ctxmwd: "+format+"\n", args...)
@@ -377,10 +404,6 @@ func setup(args []string) (*daemonProc, error) {
 		parallelism = constraint.DefaultParallelism()
 	}
 
-	// The provenance ring is always on for a serving daemon: appends are
-	// bounded and only happen on resolutions, and the provenance op
-	// answers from it with or without tracing.
-	prov := telemetry.NewProvenanceRing(0)
 	mwOpts := []middleware.Option{
 		middleware.WithSituations(engine),
 		middleware.WithCheckerOptions(middleware.CheckerOptions{Parallelism: parallelism}),
@@ -411,25 +434,6 @@ func setup(args []string) (*daemonProc, error) {
 	}
 	build := func() *middleware.Middleware {
 		return middleware.New(checker, strat, mwOpts...)
-	}
-
-	// baseServe is the option set shared by the leader path and a promoted
-	// follower; the snapshot interval and replication source vary per path.
-	baseServe := []daemon.Option{
-		daemon.WithIdleTimeout(*idle),
-		daemon.WithMaxConns(*maxConns),
-		daemon.WithDrainTimeout(*drain),
-		daemon.WithCompactInterval(*compactEvery),
-		daemon.WithSubscriptions(daemon.SubscriptionOptions{
-			MaxSubscribers: *maxSubscribers,
-			QueueLen:       *subQueue,
-		}),
-		daemon.WithTelemetry(reg),
-		daemon.WithProvenance(prov),
-	}
-	if spans != nil {
-		baseServe = append(baseServe,
-			daemon.WithTracing(spans, telemetry.NewSampler(*traceSample)))
 	}
 
 	// Follower mode: no middleware and no serving yet — tail the leader's

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -501,5 +502,105 @@ func TestSetupMetricsEndpoint(t *testing.T) {
 	}
 	if submitSpans != mwStats.Submitted {
 		t.Fatalf("span log has %d submit spans, want %d", submitSpans, mwStats.Submitted)
+	}
+}
+
+// TestSetupServeFlagsReachEveryRole proves the connection limits are not
+// a daemon-only courtesy: -max-conns, -idle-timeout and -drain-timeout
+// reach the serving loop of a shard router exactly as they reach a
+// daemon's. The router's one shard is a black hole — it accepts and
+// never answers — so a routed request stays in flight until released.
+func TestSetupServeFlagsReachEveryRole(t *testing.T) {
+	hole, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hole.Close()
+	held := make(chan net.Conn, 4)
+	go func() {
+		for {
+			c, err := hole.Accept()
+			if err != nil {
+				return
+			}
+			held <- c
+		}
+	}()
+
+	flags := []string{"-addr", "127.0.0.1:0", "-max-conns", "2", "-idle-timeout", "300ms", "-drain-timeout", "150ms"}
+	for _, role := range []struct {
+		name  string
+		extra []string
+	}{
+		{"daemon", nil},
+		{"router", []string{"-router", "-shards", hole.Addr().String()}},
+	} {
+		t.Run(role.name, func(t *testing.T) {
+			d, err := setup(append(append([]string(nil), flags...), role.extra...))
+			if err != nil {
+				t.Fatal(err)
+			}
+			addr, shutdown := "", func() {}
+			if d.router != nil {
+				addr, shutdown = d.router.Addr().String(), d.router.Shutdown
+			} else {
+				addr, shutdown = d.srv.Addr().String(), d.srv.Shutdown
+			}
+			defer shutdown()
+			dial := func() net.Conn {
+				c, err := net.Dial("tcp", addr)
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { _ = c.Close() })
+				_ = c.SetDeadline(time.Now().Add(5 * time.Second))
+				return c
+			}
+
+			// -idle-timeout: a silent connection is closed by the server.
+			idle := dial()
+			if _, err := idle.Read(make([]byte, 64)); !errors.Is(err, io.EOF) {
+				t.Fatalf("idle connection read = %v, want the reaper's close", err)
+			}
+
+			// -max-conns: with two connections serving, a third is turned away.
+			busy, second := dial(), dial()
+			for _, c := range []net.Conn{busy, second} {
+				if _, err := c.Write([]byte(`{"op":"ping"}` + "\n")); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := bufio.NewReader(c).ReadString('\n'); err != nil {
+					t.Fatalf("ping: %v", err)
+				}
+			}
+			line, err := bufio.NewReader(dial()).ReadString('\n')
+			if err != nil || !strings.Contains(line, string(daemon.CodeBusy)) {
+				t.Fatalf("over-cap connection got %q (%v), want %s", line, err, daemon.CodeBusy)
+			}
+
+			if d.router == nil {
+				return
+			}
+			// -drain-timeout: Shutdown gives the in-flight routed use 150ms,
+			// not the 5s default, before force-closing its connection.
+			if _, err := busy.Write([]byte(`{"op":"use","id":"d1"}` + "\n")); err != nil {
+				t.Fatal(err)
+			}
+			upstream := <-held // the use is in flight on the shard hop
+			start := time.Now()
+			done := make(chan struct{})
+			go func() {
+				shutdown()
+				close(done)
+			}()
+			if _, err := busy.Read(make([]byte, 64)); err == nil {
+				t.Fatal("in-flight connection got a response from a black-hole shard")
+			}
+			if waited := time.Since(start); waited > 2*time.Second {
+				t.Fatalf("in-flight connection force-closed after %v, want ~-drain-timeout (150ms)", waited)
+			}
+			_ = upstream.Close() // release the handler so Shutdown can join it
+			<-done
+		})
 	}
 }

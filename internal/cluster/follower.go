@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bufio"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -305,19 +304,19 @@ func (f *Follower) checkPromoteDeadline() {
 // frames), replicate from the local position, then append every pushed
 // frame until the stream breaks.
 func (f *Follower) session() error {
-	conn, err := f.opt.Dial(f.opt.Leader)
+	nc, err := f.opt.Dial(f.opt.Leader)
 	if err != nil {
 		return err
 	}
+	conn := daemon.NewConn(nc)
 	defer conn.Close()
-	br := bufio.NewReader(conn)
-	if err := f.exchange(conn, br, false, daemon.Request{
+	if err := f.exchange(conn, daemon.Request{
 		Op: daemon.OpHello, Format: daemon.FormatBinary, Role: daemon.RoleFollower,
 	}); err != nil {
 		return fmt.Errorf("hello: %w", err)
 	}
 	fromSeq := f.j.LastSeq()
-	if err := f.exchange(conn, br, true, daemon.Request{
+	if err := f.exchange(conn, daemon.Request{
 		Op: daemon.OpReplicate, FromSeq: fromSeq,
 	}); err != nil {
 		return fmt.Errorf("replicate: %w", err)
@@ -345,13 +344,12 @@ func (f *Follower) session() error {
 		ackWG.Wait()
 	}()
 
-	var buf []byte
 	for {
 		if f.isStopped() {
 			return nil
 		}
 		_ = conn.SetReadDeadline(time.Now().Add(f.opt.StallTimeout))
-		body, err := daemon.ReadBinFrame(br, &buf)
+		body, err := conn.ReadFrame()
 		if err != nil {
 			return fmt.Errorf("stream read: %w", err)
 		}
@@ -428,10 +426,9 @@ func (f *Follower) apply(frame daemon.ReplFrame) error {
 // ackLoop reports the local durable position upstream on a live session
 // until stop closes or a write fails (the session's read side then sees
 // the broken stream and redials). Each report renews the leader's lease.
-func (f *Follower) ackLoop(conn net.Conn, stop <-chan struct{}) {
+func (f *Follower) ackLoop(conn *daemon.Conn, stop <-chan struct{}) {
 	t := time.NewTicker(f.opt.AckEvery)
 	defer t.Stop()
-	var wire []byte
 	for {
 		select {
 		case <-stop:
@@ -442,12 +439,7 @@ func (f *Follower) ackLoop(conn net.Conn, stop <-chan struct{}) {
 		if err != nil {
 			return
 		}
-		wire, err = daemon.AppendBinFrame(wire[:0], payload)
-		if err != nil {
-			return
-		}
-		_ = conn.SetWriteDeadline(time.Now().Add(f.opt.StallTimeout))
-		if _, err := conn.Write(wire); err != nil {
+		if err := conn.WriteFrame(payload, f.opt.StallTimeout); err != nil {
 			return
 		}
 		f.acksSent.Add(1)
@@ -469,33 +461,19 @@ func (f *Follower) setConnected(v bool) {
 	f.mu.Unlock()
 }
 
-// exchange writes one line-JSON or binary request and reads its ack.
-func (f *Follower) exchange(conn net.Conn, br *bufio.Reader, binary bool, req daemon.Request) error {
+// exchange writes one handshake request and reads its ack; an acked
+// hello switches the connection to the binary format it asked for.
+func (f *Follower) exchange(conn *daemon.Conn, req daemon.Request) error {
 	payload, err := json.Marshal(req)
 	if err != nil {
 		return err
 	}
-	var wire []byte
-	if binary {
-		wire, err = daemon.AppendBinFrame(nil, payload)
-		if err != nil {
-			return err
-		}
-	} else {
-		wire = append(payload, '\n')
-	}
 	_ = conn.SetDeadline(time.Now().Add(f.opt.StallTimeout))
 	defer conn.SetDeadline(time.Time{})
-	if _, err := conn.Write(wire); err != nil {
+	if err := conn.WriteFrame(payload, 0); err != nil {
 		return err
 	}
-	var buf []byte
-	var body []byte
-	if binary {
-		body, err = daemon.ReadBinFrame(br, &buf)
-	} else {
-		body, err = daemon.ReadLineFrame(br, &buf)
-	}
+	body, err := conn.ReadFrame()
 	if err != nil {
 		return err
 	}
@@ -506,8 +484,11 @@ func (f *Follower) exchange(conn net.Conn, br *bufio.Reader, binary bool, req da
 	if !resp.OK {
 		return fmt.Errorf("refused: %s (%s)", resp.Error, resp.Code)
 	}
-	if req.Op == daemon.OpHello && resp.Format != daemon.FormatBinary {
-		return fmt.Errorf("leader negotiated format %q, want binary", resp.Format)
+	if req.Op == daemon.OpHello {
+		if resp.Format != daemon.FormatBinary {
+			return fmt.Errorf("leader negotiated format %q, want binary", resp.Format)
+		}
+		conn.SetFormat(resp.Format)
 	}
 	return nil
 }

@@ -40,9 +40,12 @@ type RouterOptions struct {
 	Checker *constraint.Checker
 	// Timeout bounds each upstream round trip (0 = client default).
 	Timeout time.Duration
-	// MaxConns caps concurrent downstream connections (0 = unlimited).
-	MaxConns int
-	// Telemetry registers the routing counters when set.
+	// Serve tunes the downstream serving loop — the same daemon.Serve
+	// options a shard daemon takes (idle timeout, connection cap, drain
+	// timeout, ...); the middleware-only ones are inert here.
+	Serve []daemon.Option
+	// Telemetry registers the routing counters, and the serving loop's
+	// transport and request instruments, when set.
 	Telemetry *telemetry.Registry
 	// SpanSink records the router's distributed-tracing spans: one root
 	// span per routed operation plus one child span per shard hop (owner
@@ -77,7 +80,9 @@ type RouterOptions struct {
 type Router struct {
 	opt  RouterOptions
 	ring *Ring
-	ln   net.Listener
+	// srv is the shared serving loop; every downstream connection's
+	// handler is a routerConn.
+	srv *daemon.Loop
 
 	// spanningKinds maps each context kind quantified by a non-local
 	// constraint to the mirror path; spanningNames lists those
@@ -104,9 +109,6 @@ type Router struct {
 	// and entries are dropped when the hinted shard answers not-found.
 	latestMu    sync.Mutex
 	latestShard map[latestKey]string
-
-	connMu sync.Mutex
-	conns  map[net.Conn]struct{}
 
 	// sampler elects untraced operations to root fresh traces
 	// (RouterOptions.TraceSample); nil never roots.
@@ -213,6 +215,21 @@ type latestKey struct {
 
 // ServeRouter starts a router gateway listening on addr.
 func ServeRouter(addr string, opt RouterOptions) (*Router, error) {
+	r, err := newRouter(opt)
+	if err != nil {
+		return nil, err
+	}
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, fmt.Errorf("cluster: router listen: %w", err)
+	}
+	r.serve(ln)
+	return r, nil
+}
+
+// newRouter validates opt and builds a router that serves nothing until
+// serve hands it a listener.
+func newRouter(opt RouterOptions) (*Router, error) {
 	if len(opt.Shards) == 0 {
 		return nil, errors.New("cluster: router needs at least one shard address")
 	}
@@ -241,23 +258,18 @@ func ServeRouter(addr string, opt RouterOptions) (*Router, error) {
 		shardCtrs:     make(map[string]*shardCounters),
 		sets:          make(map[string]*shardSet),
 		latestShard:   make(map[latestKey]string),
-		conns:         make(map[net.Conn]struct{}),
 		sampler:       telemetry.NewSampler(opt.TraceSample),
 		stop:          make(chan struct{}),
 	}
 	for _, shard := range ring.Addrs() {
 		r.shardCtrs[shard] = &shardCounters{}
 	}
-	anyReplicas := false
 	for _, members := range sets {
 		r.sets[members[0]] = &shardSet{
 			primary: members[0],
 			members: members,
 			active:  members[0],
 			probes:  make(map[string]*daemon.Client),
-		}
-		if len(members) > 1 {
-			anyReplicas = true
 		}
 	}
 	if opt.Checker != nil {
@@ -288,18 +300,37 @@ func ServeRouter(addr string, opt RouterOptions) (*Router, error) {
 			r.epochGauge.With(key).Set(0)
 		}
 	}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: router listen: %w", err)
-	}
-	r.ln = ln
-	r.wg.Add(1)
-	go r.acceptLoop()
-	if anyReplicas {
-		r.wg.Add(1)
-		go r.probeLoop()
-	}
 	return r, nil
+}
+
+// serve starts the serving loop on ln (owned from here on) and, with
+// replica sets configured, the probe loop.
+func (r *Router) serve(ln net.Listener) {
+	opts := append([]daemon.Option(nil), r.opt.Serve...)
+	if r.opt.Telemetry != nil {
+		opts = append(opts, daemon.WithTelemetry(r.opt.Telemetry))
+	}
+	if r.opt.SpanSink != nil {
+		// Like a shard daemon, the router acks a hello's trace offer only
+		// when it can record spans itself.
+		opts = append(opts, daemon.WithTracing(r.opt.SpanSink, nil))
+	}
+	r.srv = daemon.ServeLoop(ln, func(p *daemon.Peer) daemon.Handler {
+		return &routerConn{
+			r:         r,
+			peer:      p,
+			ups:       make(map[string]*daemon.Client),
+			upsActive: make(map[string]string),
+			subs:      make(map[string]*subState),
+		}
+	}, opts...)
+	for _, set := range r.sets {
+		if len(set.members) > 1 {
+			r.wg.Add(1)
+			go r.probeLoop()
+			break
+		}
+	}
 }
 
 // probeLoop health-probes every multi-member replica set, following
@@ -426,7 +457,7 @@ func (r *Router) noteStaleLeader(shard string) {
 }
 
 // Addr returns the router's listen address.
-func (r *Router) Addr() net.Addr { return r.ln.Addr() }
+func (r *Router) Addr() net.Addr { return r.srv.Addr() }
 
 // Spanning returns the constraint names on the mirror path, sorted.
 func (r *Router) Spanning() []string {
@@ -463,60 +494,13 @@ func (r *Router) Stats() daemon.RouterStats {
 	return rs
 }
 
-// Shutdown stops accepting, closes every downstream connection (and with
-// them their upstream fan-out clients), and waits for the serving
-// goroutines.
+// Shutdown stops accepting, drains in-flight requests, closes every
+// downstream connection (and with them their upstream fan-out clients),
+// and waits for the serving and probe goroutines.
 func (r *Router) Shutdown() {
-	r.stopOnce.Do(func() {
-		close(r.stop)
-		_ = r.ln.Close()
-		r.connMu.Lock()
-		for c := range r.conns {
-			_ = c.Close()
-		}
-		r.connMu.Unlock()
-	})
+	r.stopOnce.Do(func() { close(r.stop) })
+	r.srv.Shutdown()
 	r.wg.Wait()
-}
-
-func (r *Router) acceptLoop() {
-	defer r.wg.Done()
-	for {
-		conn, err := r.ln.Accept()
-		if err != nil {
-			return // listener closed
-		}
-		if r.opt.MaxConns > 0 && r.connCount() >= r.opt.MaxConns {
-			resp := daemon.ErrResponse(daemon.CodeBusy, errors.New("router at connection cap"))
-			writeLineResponse(conn, resp)
-			_ = conn.Close()
-			continue
-		}
-		r.trackConn(conn, true)
-		r.wg.Add(1)
-		go func() {
-			defer r.wg.Done()
-			defer r.trackConn(conn, false)
-			defer conn.Close()
-			r.serveConn(conn)
-		}()
-	}
-}
-
-func (r *Router) connCount() int {
-	r.connMu.Lock()
-	defer r.connMu.Unlock()
-	return len(r.conns)
-}
-
-func (r *Router) trackConn(conn net.Conn, add bool) {
-	r.connMu.Lock()
-	if add {
-		r.conns[conn] = struct{}{}
-	} else {
-		delete(r.conns, conn)
-	}
-	r.connMu.Unlock()
 }
 
 // owner returns the shard owning a source's contexts.

@@ -1,15 +1,11 @@
 package cluster
 
 import (
-	"bufio"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"net"
+	"sort"
 	"sync"
 	"time"
-
-	"sort"
 
 	"ctxres/internal/ctx"
 	"ctxres/internal/daemon"
@@ -18,18 +14,16 @@ import (
 	"ctxres/internal/telemetry"
 )
 
-// routerConn serves one downstream connection: it decodes requests in
-// the daemon's framing, fans them out to per-connection upstream clients
-// (one daemon.Client per shard, dialed lazily), and merges the answers.
+// routerConn is the router role's per-connection daemon.Handler: the
+// shared serving loop decodes a downstream connection's requests, and
+// routerConn fans them out to per-connection upstream clients (one
+// daemon.Client per shard, dialed lazily) and merges the answers.
 // Upstream clients are per downstream connection so subscriptions and
 // round-trip serialization stay scoped the way a direct connection's
 // would be.
 type routerConn struct {
 	r    *Router
-	conn net.Conn
-
-	writeMu sync.Mutex // serializes frames: responses and forwarded pushes
-	binary  bool       // guarded by writeMu (changes only at hello, before pushes exist)
+	peer *daemon.Peer
 
 	ups       map[string]*daemon.Client // keyed by ring key; serving goroutine only
 	upsActive map[string]string         // member each upstream client was dialed for
@@ -46,90 +40,10 @@ type subState struct {
 	cur    bool            // last state pushed downstream
 }
 
-func (r *Router) serveConn(conn net.Conn) {
-	rc := &routerConn{
-		r:         r,
-		conn:      conn,
-		ups:       make(map[string]*daemon.Client),
-		upsActive: make(map[string]string),
-		subs:      make(map[string]*subState),
-	}
-	defer rc.closeUpstreams()
-	br := bufio.NewReader(conn)
-	var buf []byte
-	for {
-		var body []byte
-		var err error
-		if rc.isBinary() {
-			body, err = daemon.ReadBinFrame(br, &buf)
-		} else {
-			body, err = daemon.ReadLineFrame(br, &buf)
-		}
-		if err != nil {
-			if daemon.IsFrameTooLong(err) {
-				_ = rc.writeResp(daemon.ErrResponse(daemon.CodeFrameTooLong, err))
-			}
-			return
-		}
-		var req daemon.Request
-		if err := json.Unmarshal(body, &req); err != nil {
-			_ = rc.writeResp(daemon.ErrResponse(daemon.CodeBadRequest, fmt.Errorf("decode request: %w", err)))
-			continue
-		}
-		daemon.InternRequest(&req)
-		resp := rc.handle(&req)
-		if err := rc.writeResp(resp); err != nil {
-			return
-		}
-		if req.Op == daemon.OpHello && resp.OK {
-			rc.setBinary(resp.Format == daemon.FormatBinary)
-		}
-	}
-}
-
-func (rc *routerConn) isBinary() bool {
-	rc.writeMu.Lock()
-	defer rc.writeMu.Unlock()
-	return rc.binary
-}
-
-func (rc *routerConn) setBinary(v bool) {
-	rc.writeMu.Lock()
-	rc.binary = v
-	rc.writeMu.Unlock()
-}
-
-// writeResp frames and writes one response or push under the write lock.
-func (rc *routerConn) writeResp(resp daemon.Response) error {
-	payload, err := json.Marshal(resp)
-	if err != nil {
-		return err
-	}
-	rc.writeMu.Lock()
-	defer rc.writeMu.Unlock()
-	var wire []byte
-	if rc.binary {
-		wire, err = daemon.AppendBinFrame(nil, payload)
-		if err != nil {
-			return err
-		}
-	} else {
-		wire = append(payload, '\n')
-	}
-	_ = rc.conn.SetWriteDeadline(time.Now().Add(30 * time.Second))
-	_, err = rc.conn.Write(wire)
-	return err
-}
-
-// writeLineResponse writes one line-JSON response outside a serving loop
-// (the accept path's over-cap refusal).
-func writeLineResponse(conn net.Conn, resp daemon.Response) {
-	payload, err := json.Marshal(resp)
-	if err != nil {
-		return
-	}
-	_ = conn.SetWriteDeadline(time.Now().Add(5 * time.Second))
-	_, _ = conn.Write(append(payload, '\n'))
+// errResp builds a typed error response, so the router answers protocol
+// trouble with the same taxonomy a shard daemon would.
+func errResp(code daemon.Code, err error) daemon.Response {
+	return daemon.Response{Error: err.Error(), Code: code}
 }
 
 // client returns (dialing lazily) this connection's upstream client for
@@ -147,7 +61,7 @@ func (rc *routerConn) client(shard string) (*daemon.Client, error) {
 		fallbacks = s.others(active)
 	}
 	if c, ok := rc.ups[shard]; ok {
-		if rc.upsActive[shard] == active || rc.hasSubs() {
+		if rc.upsActive[shard] == active || rc.Subscribed() {
 			return c, nil
 		}
 		_ = c.Close()
@@ -168,7 +82,8 @@ func (rc *routerConn) client(shard string) (*daemon.Client, error) {
 	return c, nil
 }
 
-func (rc *routerConn) hasSubs() bool {
+// Subscribed implements daemon.Handler.
+func (rc *routerConn) Subscribed() bool {
 	rc.subsMu.Lock()
 	defer rc.subsMu.Unlock()
 	return len(rc.subs) > 0
@@ -200,7 +115,8 @@ func (rc *routerConn) withStaleRetry(shard string, fn func(*daemon.Client) error
 	return err
 }
 
-func (rc *routerConn) closeUpstreams() {
+// Close implements daemon.Handler, closing the upstream fan-out clients.
+func (rc *routerConn) Close() {
 	for _, c := range rc.ups {
 		_ = c.Close()
 	}
@@ -211,17 +127,20 @@ func (rc *routerConn) closeUpstreams() {
 func shardError(shard string, err error) daemon.Response {
 	var remote *daemon.RemoteError
 	if errors.As(err, &remote) {
-		return daemon.ErrResponse(remote.Code, errors.New(remote.Message))
+		return errResp(remote.Code, errors.New(remote.Message))
 	}
-	return daemon.ErrResponse(daemon.CodeApp, fmt.Errorf("shard %s unreachable: %w", shard, err))
+	return errResp(daemon.CodeApp, fmt.Errorf("shard %s unreachable: %w", shard, err))
+}
+
+// Handle implements daemon.Handler.
+func (rc *routerConn) Handle(req *daemon.Request) (daemon.Response, func()) {
+	return rc.handle(req), nil
 }
 
 func (rc *routerConn) handle(req *daemon.Request) daemon.Response {
 	switch req.Op {
 	case daemon.OpPing:
 		return daemon.Response{OK: true}
-	case daemon.OpHello:
-		return rc.handleHello(req)
 	case daemon.OpSubmit:
 		return rc.handleSubmit(req)
 	case daemon.OpBatchSubmit:
@@ -241,36 +160,10 @@ func (rc *routerConn) handle(req *daemon.Request) daemon.Response {
 	case daemon.OpUnsubscribe:
 		return rc.handleUnsubscribe(req)
 	case daemon.OpReplicate:
-		return daemon.ErrResponse(daemon.CodeBadRequest,
+		return errResp(daemon.CodeBadRequest,
 			errors.New("the router does not serve replication; connect to a shard daemon"))
 	default:
-		return daemon.ErrResponse(daemon.CodeBadRequest, fmt.Errorf("unknown op %q", req.Op))
-	}
-}
-
-func (rc *routerConn) handleHello(req *daemon.Request) daemon.Response {
-	rc.subsMu.Lock()
-	n := len(rc.subs)
-	rc.subsMu.Unlock()
-	if n > 0 {
-		return daemon.ErrResponse(daemon.CodeApp,
-			errors.New("hello: cannot renegotiate with live subscriptions"))
-	}
-	switch req.Role {
-	case "", daemon.RoleClient, daemon.RoleFollower, daemon.RoleRouter:
-	default:
-		return daemon.ErrResponse(daemon.CodeApp, fmt.Errorf("hello: unknown role %q", req.Role))
-	}
-	// Like a shard daemon, the router acks the trace offer only when it
-	// can record spans itself.
-	traceOK := req.Trace && rc.r.opt.SpanSink != nil
-	switch req.Format {
-	case "", daemon.FormatJSON:
-		return daemon.Response{OK: true, Format: daemon.FormatJSON, Trace: traceOK}
-	case daemon.FormatBinary:
-		return daemon.Response{OK: true, Format: daemon.FormatBinary, Trace: traceOK}
-	default:
-		return daemon.ErrResponse(daemon.CodeApp, fmt.Errorf("hello: unknown format %q", req.Format))
+		return errResp(daemon.CodeApp, fmt.Errorf("unknown op %q", req.Op))
 	}
 }
 
@@ -285,7 +178,7 @@ func budgetOf(req *daemon.Request) time.Duration {
 func (rc *routerConn) handleSubmit(req *daemon.Request) daemon.Response {
 	c := req.Context
 	if c == nil {
-		return daemon.ErrResponse(daemon.CodeBadRequest, errors.New("submit: missing context"))
+		return errResp(daemon.CodeBadRequest, errors.New("submit: missing context"))
 	}
 	r := rc.r
 	owner := r.owner(c.Source)
@@ -352,10 +245,10 @@ func routeOutcome(resp daemon.Response) string {
 func (rc *routerConn) handleBatch(req *daemon.Request) daemon.Response {
 	n := len(req.Contexts)
 	if n == 0 {
-		return daemon.ErrResponse(daemon.CodeBadRequest, errors.New("batch-submit: no contexts"))
+		return errResp(daemon.CodeBadRequest, errors.New("batch-submit: no contexts"))
 	}
 	if n > daemon.MaxBatchContexts {
-		return daemon.ErrResponse(daemon.CodeBadRequest,
+		return errResp(daemon.CodeBadRequest,
 			fmt.Errorf("batch-submit: %d contexts exceeds cap %d", n, daemon.MaxBatchContexts))
 	}
 	r := rc.r
@@ -446,7 +339,7 @@ func (rc *routerConn) handleUse(req *daemon.Request) daemon.Response {
 	tr := r.traceFor(req)
 	root := r.startSpan("route_use", string(req.ID), tr)
 	var lastErr daemon.Response
-	lastErr = daemon.ErrResponse(daemon.CodeApp, fmt.Errorf("use %s: no shards reachable", req.ID))
+	lastErr = errResp(daemon.CodeApp, fmt.Errorf("use %s: no shards reachable", req.ID))
 	for probe, shard := range r.ring.Addrs() {
 		hop := r.startSpan("shard_use", shard, spanCtx(root, tr))
 		var cc *ctx.Context
@@ -516,7 +409,7 @@ func (rc *routerConn) handleUseLatest(req *daemon.Request) daemon.Response {
 	root := r.startSpan("route_use_latest", string(req.Kind)+"/"+req.Subject, tr)
 	hinted, hadHint := r.lookupLatest(req.Kind, req.Subject)
 	var lastErr daemon.Response
-	lastErr = daemon.ErrResponse(daemon.CodeApp,
+	lastErr = errResp(daemon.CodeApp,
 		fmt.Errorf("use-latest %s/%s: no shard holds a match", req.Kind, req.Subject))
 	if hadHint {
 		var cc *ctx.Context
@@ -587,7 +480,7 @@ func (rc *routerConn) handleProvenance(req *daemon.Request) daemon.Response {
 		events = append(events, evs...)
 	}
 	if reached == 0 {
-		return daemon.ErrResponse(daemon.CodeApp, errors.New("provenance: no shard reachable"))
+		return errResp(daemon.CodeApp, errors.New("provenance: no shard reachable"))
 	}
 	sort.SliceStable(events, func(i, j int) bool { return events[i].Clock.After(events[j].Clock) })
 	if req.Limit > 0 && len(events) > req.Limit {
@@ -618,7 +511,7 @@ func (rc *routerConn) handleStats() daemon.Response {
 		plList = append(plList, pl)
 	}
 	if len(mwList) == 0 {
-		return daemon.ErrResponse(daemon.CodeApp, errors.New("stats: no shard reachable"))
+		return errResp(daemon.CodeApp, errors.New("stats: no shard reachable"))
 	}
 	mw, pl := sumStats(mwList, plList)
 	rs := r.Stats()
@@ -650,7 +543,7 @@ func (rc *routerConn) handleSituations() daemon.Response {
 		}
 	}
 	if reached == 0 {
-		return daemon.ErrResponse(daemon.CodeApp, errors.New("situations: no shard reachable"))
+		return errResp(daemon.CodeApp, errors.New("situations: no shard reachable"))
 	}
 	return daemon.Response{OK: true, Active: merged}
 }
@@ -661,16 +554,16 @@ func (rc *routerConn) handleSituations() daemon.Response {
 // deactivates.
 func (rc *routerConn) handleSubscribe(req *daemon.Request) daemon.Response {
 	if req.SubID == "" {
-		return daemon.ErrResponse(daemon.CodeApp, errors.New("subscribe: missing subscription id"))
+		return errResp(daemon.CodeApp, errors.New("subscribe: missing subscription id"))
 	}
 	if (req.Situation == "") == (req.Formula == "") {
-		return daemon.ErrResponse(daemon.CodeApp,
+		return errResp(daemon.CodeApp,
 			errors.New("subscribe: exactly one of situation and formula must be set"))
 	}
 	rc.subsMu.Lock()
 	if _, dup := rc.subs[req.SubID]; dup {
 		rc.subsMu.Unlock()
-		return daemon.ErrResponse(daemon.CodeDupSubscription,
+		return errResp(daemon.CodeDupSubscription,
 			fmt.Errorf("subscription %q already registered", req.SubID))
 	}
 	st := &subState{active: make(map[string]bool)}
@@ -704,7 +597,7 @@ func (rc *routerConn) handleSubscribe(req *daemon.Request) daemon.Response {
 }
 
 // forwarder builds the per-shard event handler for one subscription.
-// Handlers run on the upstream clients' read goroutines; the write lock
+// Handlers run on the upstream clients' read goroutines; the peer
 // serializes their pushes with the serving loop's responses.
 func (rc *routerConn) forwarder(subID, shard string, st *subState) daemon.EventHandler {
 	return func(_ string, ev daemon.WireEvent) {
@@ -724,7 +617,7 @@ func (rc *routerConn) forwarder(subID, shard string, st *subState) daemon.EventH
 		if cur {
 			typ = "activated"
 		}
-		_ = rc.writeResp(daemon.Response{OK: true, Push: true, SubID: subID,
+		rc.peer.Push(daemon.Response{OK: true, Push: true, SubID: subID,
 			Event: &daemon.WireEvent{Situation: ev.Situation, Type: typ, At: ev.At}})
 	}
 }
@@ -735,7 +628,7 @@ func (rc *routerConn) handleUnsubscribe(req *daemon.Request) daemon.Response {
 	delete(rc.subs, req.SubID)
 	rc.subsMu.Unlock()
 	if !had {
-		return daemon.ErrResponse(daemon.CodeApp,
+		return errResp(daemon.CodeApp,
 			fmt.Errorf("unsubscribe: unknown subscription %q", req.SubID))
 	}
 	for _, cl := range rc.ups {

@@ -142,13 +142,23 @@ func (sh *Shipper) FollowerAck(fromSeq uint64) {
 // full queue fails that feed (the follower redials and resumes from its
 // own position).
 func (sh *Shipper) Tap(r wal.Record, framedBytes int) {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if len(sh.feeds) == 0 {
+		return
+	}
 	rec := r
+	if rec.Context != nil {
+		// Each feed marshals the frame later, on its own goroutine, while
+		// the middleware keeps moving the live context through its life
+		// cycle: ship the copy taken here, under the append lock.
+		c := *rec.Context
+		rec.Context = &c
+	}
 	ff := feedFrame{frame: daemon.ReplFrame{Record: &rec}, bytes: int64(framedBytes)}
 	if sh.opt.SpanSink != nil && rec.TraceID != "" {
 		ff.enq = time.Now()
 	}
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
 	for f := range sh.feeds {
 		select {
 		case f.ch <- ff:

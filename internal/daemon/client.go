@@ -1,7 +1,6 @@
 package daemon
 
 import (
-	"bufio"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -37,12 +36,10 @@ type Client struct {
 
 	mu sync.Mutex // serializes round trips
 
-	stateMu      sync.Mutex // guards conn/reader/closed/pump; nests inside mu
+	stateMu      sync.Mutex // guards conn/closed/pump; nests inside mu
 	addrIdx      int        // index of the last address that dialed successfully
-	conn         net.Conn
-	reader       *bufio.Reader
-	binary       bool // negotiated per connection; reset on reconnect
-	traceOK      bool // server acked the hello trace offer; reset on reconnect
+	conn         *Conn      // carries the negotiated format; replaced on reconnect
+	traceOK      bool       // server acked the hello trace offer; reset on reconnect
 	closed       bool
 	pump         *pumpState // owns reads on conn once subscriptions exist
 	reconnecting bool       // a background reestablish goroutine is running
@@ -75,7 +72,7 @@ type EventHandler func(subID string, ev WireEvent)
 // push frames go to handlers, response frames to the (single, because
 // round trips are serialized) waiting request.
 type pumpState struct {
-	conn    net.Conn
+	conn    *Conn
 	replies chan Response // cap 1; the one outstanding request's answer
 	dead    chan struct{} // closed when the pump exits
 }
@@ -231,15 +228,14 @@ func dialTimeout(t time.Duration) time.Duration {
 // request. With multiple addresses configured, a refused dial rotates to
 // the next address, starting from the last one that worked.
 func (c *Client) connect() error {
-	conn, err := c.dialNext()
+	nc, err := c.dialNext()
 	if err != nil {
 		return err
 	}
-	reader := bufio.NewReader(conn)
-	binary := false
+	conn := NewConn(nc)
 	traceOK := false
 	if c.opts.WireFormat == FormatBinary || c.opts.Role != "" || c.opts.Trace {
-		binary, traceOK, err = c.hello(conn, reader)
+		traceOK, err = c.hello(conn)
 		if err != nil {
 			_ = conn.Close()
 			return err
@@ -252,7 +248,7 @@ func (c *Client) connect() error {
 	// OnSubscriptionLost notification — instead of failing the connection.
 	for _, sub := range c.snapshotSubs() {
 		req := Request{Op: OpSubscribe, SubID: sub.id, Situation: sub.name, Formula: sub.formula}
-		if _, err := c.exchangeOn(conn, reader, binary, req); err != nil {
+		if _, err := c.exchangeOn(conn, req); err != nil {
 			var remote *RemoteError
 			if errors.As(err, &remote) {
 				c.forgetSub(sub.id, err)
@@ -268,7 +264,7 @@ func (c *Client) connect() error {
 		_ = conn.Close()
 		return ErrClientClosed
 	}
-	c.conn, c.reader, c.binary, c.traceOK = conn, reader, binary, traceOK
+	c.conn, c.traceOK = conn, traceOK
 	c.startPumpLocked()
 	return nil
 }
@@ -315,29 +311,23 @@ func (c *Client) startPumpLocked() {
 	_ = SetConnDeadline(c.conn, 0)
 	p := &pumpState{conn: c.conn, replies: make(chan Response, 1), dead: make(chan struct{})}
 	c.pump = p
-	go c.pumpLoop(p, c.reader, c.binary)
+	go c.pumpLoop(p)
 }
 
 // pumpLoop owns all reads on one connection: pushes are dispatched to
 // handlers, responses handed to the waiting request. Any read failure
 // retires the connection; if subscriptions remain, a background reconnect
 // re-establishes them.
-func (c *Client) pumpLoop(p *pumpState, reader *bufio.Reader, binary bool) {
-	buf := getWireBuf()
+func (c *Client) pumpLoop(p *pumpState) {
+	defer c.retirePump(p)
 	for {
-		var body []byte
-		var err error
-		if binary {
-			body, err = readBinFrame(reader, buf)
-		} else {
-			body, err = readLine(reader, MaxLineBytes, buf)
-		}
+		body, err := p.conn.ReadFrame()
 		if err != nil {
-			break
+			return
 		}
 		var resp Response
 		if err := json.Unmarshal(body, &resp); err != nil {
-			break
+			return
 		}
 		if resp.Push {
 			c.dispatchPush(resp)
@@ -348,13 +338,9 @@ func (c *Client) pumpLoop(p *pumpState, reader *bufio.Reader, binary bool) {
 		default:
 			// No request waiting: an unsolicited response. The stream can
 			// no longer be trusted to pair requests with responses.
-			putWireBuf(buf)
-			c.retirePump(p)
 			return
 		}
 	}
-	putWireBuf(buf)
-	c.retirePump(p)
 }
 
 func (c *Client) retirePump(p *pumpState) {
@@ -428,8 +414,7 @@ func (c *Client) reestablish() {
 			break
 		}
 		c.mu.Lock()
-		conn, _, _ := c.current()
-		connected := conn != nil
+		connected := c.current() != nil
 		if !connected {
 			connected = c.connect() == nil
 		}
@@ -494,31 +479,32 @@ func (c *Client) dialNext() (net.Conn, error) {
 // hello performs the line-JSON handshake on a fresh connection,
 // negotiating the wire format, declaring the connection's role, and —
 // when the client offers tracing — learning whether the server will
-// honor trace context. Both sides speak binary frames only after the
-// ack. A declined trace offer is not an error: the client simply never
-// stamps trace fields on this connection.
-func (c *Client) hello(conn net.Conn, reader *bufio.Reader) (binary, trace bool, err error) {
+// honor trace context. Both sides speak the negotiated format only after
+// the ack. A declined trace offer is not an error: the client simply
+// never stamps trace fields on this connection.
+func (c *Client) hello(conn *Conn) (trace bool, err error) {
 	want := c.opts.WireFormat
 	if want == "" {
 		want = FormatJSON
 	}
-	resp, err := c.exchangeOn(conn, reader, false,
+	resp, err := c.exchangeOn(conn,
 		Request{Op: OpHello, Format: want, Role: c.opts.Role, Trace: c.opts.Trace})
 	if err != nil {
-		return false, false, fmt.Errorf("daemon: hello: %w", err)
+		return false, fmt.Errorf("daemon: hello: %w", err)
 	}
 	if resp.Format != want {
-		return false, false, fmt.Errorf("daemon: hello: server negotiated format %q, want %q",
+		return false, fmt.Errorf("daemon: hello: server negotiated format %q, want %q",
 			resp.Format, want)
 	}
-	return resp.Format == FormatBinary, resp.Trace, nil
+	conn.SetFormat(resp.Format)
+	return resp.Trace, nil
 }
 
 // current returns the live connection, or nil when broken/unconnected.
-func (c *Client) current() (net.Conn, *bufio.Reader, bool) {
+func (c *Client) current() *Conn {
 	c.stateMu.Lock()
 	defer c.stateMu.Unlock()
-	return c.conn, c.reader, c.binary
+	return c.conn
 }
 
 // traceAllowed reports whether the current connection negotiated trace
@@ -531,10 +517,10 @@ func (c *Client) traceAllowed() bool {
 
 // dropConn discards conn (if still current) so no later attempt can read
 // a stale half-delivered response off its stream.
-func (c *Client) dropConn(conn net.Conn) {
+func (c *Client) dropConn(conn *Conn) {
 	c.stateMu.Lock()
 	if c.conn == conn {
-		c.conn, c.reader = nil, nil
+		c.conn = nil
 	}
 	c.stateMu.Unlock()
 	_ = conn.Close()
@@ -552,7 +538,7 @@ func (c *Client) Close() error {
 	c.stateMu.Lock()
 	c.closed = true
 	conn := c.conn
-	c.conn, c.reader = nil, nil
+	c.conn = nil
 	c.stateMu.Unlock()
 	if conn != nil {
 		return conn.Close()
@@ -580,7 +566,7 @@ func (c *Client) roundTripLocked(req Request) (Response, error) {
 		if c.isClosed() {
 			return Response{}, ErrClientClosed
 		}
-		conn, reader, binary := c.current()
+		conn := c.current()
 		if conn == nil {
 			if err := c.connect(); err != nil {
 				if errors.Is(err, ErrClientClosed) {
@@ -589,7 +575,7 @@ func (c *Client) roundTripLocked(req Request) (Response, error) {
 				lastErr = err
 				continue
 			}
-			conn, reader, binary = c.current()
+			conn = c.current()
 		}
 		if req.TraceID != "" && !c.traceAllowed() {
 			// The connection's hello did not negotiate tracing (the server
@@ -597,7 +583,7 @@ func (c *Client) roundTripLocked(req Request) (Response, error) {
 			// untraced rather than leak fields the server never agreed to.
 			req.TraceID, req.SpanID = "", ""
 		}
-		resp, err := c.exchange(conn, reader, binary, req)
+		resp, err := c.exchange(conn, req)
 		if err == nil {
 			return resp, nil
 		}
@@ -629,7 +615,7 @@ func (c *Client) roundTripLocked(req Request) (Response, error) {
 
 // exchange performs one request/response on conn, routing through the
 // read pump when one owns the connection's reads.
-func (c *Client) exchange(conn net.Conn, reader *bufio.Reader, binary bool, req Request) (Response, error) {
+func (c *Client) exchange(conn *Conn, req Request) (Response, error) {
 	c.stateMu.Lock()
 	p := c.pump
 	if p != nil && p.conn != conn {
@@ -637,47 +623,27 @@ func (c *Client) exchange(conn net.Conn, reader *bufio.Reader, binary bool, req 
 	}
 	c.stateMu.Unlock()
 	if p != nil {
-		return c.exchangePumped(p, conn, binary, req)
+		return c.exchangePumped(p, req)
 	}
-	return c.exchangeOn(conn, reader, binary, req)
+	return c.exchangeOn(conn, req)
 }
 
-// exchangeOn performs one request/response over conn in the given
-// framing. Push frames arriving between the request and its response are
-// dispatched inline and skipped — the Push tag is what keeps
-// server-initiated events from ever desyncing the pairing. Any I/O error
-// leaves the stream in an unknown position; the caller must drop the
-// connection rather than reuse it (roundTrip does), so a truncated binary
-// frame can never desync a later request.
-func (c *Client) exchangeOn(conn net.Conn, reader *bufio.Reader, binary bool, req Request) (Response, error) {
+// exchangeOn performs one request/response over conn. Push frames
+// arriving between the request and its response are dispatched inline and
+// skipped — the Push tag is what keeps server-initiated events from ever
+// desyncing the pairing. Any I/O error leaves the stream in an unknown
+// position; the caller must drop the connection rather than reuse it
+// (roundTrip does), so a truncated frame can never desync a later
+// request.
+func (c *Client) exchangeOn(conn *Conn, req Request) (Response, error) {
 	if err := SetConnDeadline(conn, c.opts.Timeout); err != nil {
 		return Response{}, fmt.Errorf("daemon: set deadline: %w", err)
 	}
-	payload, err := json.Marshal(req)
-	if err != nil {
-		return Response{}, fmt.Errorf("daemon: marshal request: %w", err)
-	}
-	wire := getWireBuf()
-	defer putWireBuf(wire)
-	if binary {
-		framed, err := appendBinFrame((*wire)[:0], payload)
-		if err != nil {
-			return Response{}, fmt.Errorf("daemon: frame request: %w", err)
-		}
-		*wire = framed
-	} else {
-		*wire = append(append((*wire)[:0], payload...), '\n')
-	}
-	if _, err := conn.Write(*wire); err != nil {
-		return Response{}, fmt.Errorf("daemon: write: %w", err)
+	if err := writeRequest(conn, req, 0); err != nil {
+		return Response{}, err
 	}
 	for {
-		var body []byte
-		if binary {
-			body, err = readBinFrame(reader, wire)
-		} else {
-			body, err = readLine(reader, MaxLineBytes, wire)
-		}
+		body, err := conn.ReadFrame()
 		if err != nil {
 			if errors.Is(err, io.EOF) {
 				return Response{}, errors.New("daemon: connection closed")
@@ -692,41 +658,36 @@ func (c *Client) exchangeOn(conn net.Conn, reader *bufio.Reader, binary bool, re
 			c.dispatchPush(resp)
 			continue
 		}
-		if !resp.OK {
-			return Response{}, &RemoteError{Code: resp.Code, Message: resp.Error,
-				Epoch: resp.Epoch, Leader: resp.Leader}
-		}
-		return resp, nil
+		return resp, remoteErr(resp)
 	}
+}
+
+func writeRequest(conn *Conn, req Request, timeout time.Duration) error {
+	payload, err := json.Marshal(req)
+	if err != nil {
+		return fmt.Errorf("daemon: marshal request: %w", err)
+	}
+	if err := conn.WriteFrame(payload, timeout); err != nil {
+		return fmt.Errorf("daemon: write: %w", err)
+	}
+	return nil
+}
+
+// remoteErr is the RemoteError a failed response carries, or nil.
+func remoteErr(resp Response) error {
+	if resp.OK {
+		return nil
+	}
+	return &RemoteError{Code: resp.Code, Message: resp.Error, Epoch: resp.Epoch, Leader: resp.Leader}
 }
 
 // exchangePumped writes the request and waits for the pump to hand back
 // the response. A timeout or pump death is a transport failure: roundTrip
 // drops the connection, so a late response can never be misread as the
 // answer to a later request.
-func (c *Client) exchangePumped(p *pumpState, conn net.Conn, binary bool, req Request) (Response, error) {
-	payload, err := json.Marshal(req)
-	if err != nil {
-		return Response{}, fmt.Errorf("daemon: marshal request: %w", err)
-	}
-	wire := getWireBuf()
-	defer putWireBuf(wire)
-	if binary {
-		framed, err := appendBinFrame((*wire)[:0], payload)
-		if err != nil {
-			return Response{}, fmt.Errorf("daemon: frame request: %w", err)
-		}
-		*wire = framed
-	} else {
-		*wire = append(append((*wire)[:0], payload...), '\n')
-	}
-	if c.opts.Timeout > 0 {
-		if err := conn.SetWriteDeadline(time.Now().Add(c.opts.Timeout)); err != nil {
-			return Response{}, fmt.Errorf("daemon: set deadline: %w", err)
-		}
-	}
-	if _, err := conn.Write(*wire); err != nil {
-		return Response{}, fmt.Errorf("daemon: write: %w", err)
+func (c *Client) exchangePumped(p *pumpState, req Request) (Response, error) {
+	if err := writeRequest(p.conn, req, c.opts.Timeout); err != nil {
+		return Response{}, err
 	}
 	var timeout <-chan time.Time
 	if c.opts.Timeout > 0 {
@@ -736,11 +697,7 @@ func (c *Client) exchangePumped(p *pumpState, conn net.Conn, binary bool, req Re
 	}
 	select {
 	case resp := <-p.replies:
-		if !resp.OK {
-			return Response{}, &RemoteError{Code: resp.Code, Message: resp.Error,
-				Epoch: resp.Epoch, Leader: resp.Leader}
-		}
-		return resp, nil
+		return resp, remoteErr(resp)
 	case <-timeout:
 		return Response{}, errors.New("daemon: timed out awaiting response")
 	case <-p.dead:

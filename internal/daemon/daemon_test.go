@@ -173,26 +173,29 @@ func TestStatsAndSituations(t *testing.T) {
 }
 
 func TestMalformedRequestLine(t *testing.T) {
-	srv, _ := startServer(t)
-	conn, err := net.Dial("tcp", srv.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if _, err := conn.Write([]byte("this is not json\n")); err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, 4096)
-	if err := SetConnDeadline(conn, 5*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	n, err := conn.Read(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp := string(buf[:n])
-	if !strings.Contains(resp, `"ok":false`) || !strings.Contains(resp, "bad request") {
-		t.Fatalf("response = %q", resp)
+	for _, fd := range frontDoors(t) {
+		t.Run(fd.name, func(t *testing.T) {
+			conn, err := net.Dial("tcp", fd.addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			if _, err := conn.Write([]byte("this is not json\n")); err != nil {
+				t.Fatal(err)
+			}
+			buf := make([]byte, 4096)
+			if err := SetConnDeadline(conn, 5*time.Second); err != nil {
+				t.Fatal(err)
+			}
+			n, err := conn.Read(buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp := string(buf[:n])
+			if !strings.Contains(resp, `"ok":false`) || !strings.Contains(resp, "bad request") {
+				t.Fatalf("response = %q", resp)
+			}
+		})
 	}
 }
 

@@ -170,92 +170,96 @@ func TestClientTimeoutDoesNotDesyncFraming(t *testing.T) {
 }
 
 func TestOversizedFrameGetsProtocolError(t *testing.T) {
-	srv, _ := startServer(t)
-	conn, err := net.Dial("tcp", srv.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if err := SetConnDeadline(conn, 5*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	// A line longer than MaxLineBytes, never terminated.
-	huge := make([]byte, MaxLineBytes+16)
-	for i := range huge {
-		huge[i] = 'a'
-	}
-	if _, err := conn.Write(huge); err != nil {
-		t.Fatalf("write oversized frame: %v", err)
-	}
-	buf := make([]byte, 4096)
-	n, err := conn.Read(buf)
-	if err != nil {
-		t.Fatalf("read error response: %v", err)
-	}
-	resp := string(buf[:n])
-	if !strings.Contains(resp, string(CodeFrameTooLong)) || !strings.Contains(resp, `"ok":false`) {
-		t.Fatalf("response = %q, want a %s protocol error", resp, CodeFrameTooLong)
-	}
-	if got := srv.Stats().FramesTooLong; got != 1 {
-		t.Fatalf("FramesTooLong = %d, want 1", got)
+	for _, fd := range frontDoors(t) {
+		t.Run(fd.name, func(t *testing.T) {
+			conn, err := net.Dial("tcp", fd.addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			if err := SetConnDeadline(conn, 5*time.Second); err != nil {
+				t.Fatal(err)
+			}
+			// A line longer than MaxLineBytes, never terminated.
+			huge := make([]byte, MaxLineBytes+16)
+			for i := range huge {
+				huge[i] = 'a'
+			}
+			if _, err := conn.Write(huge); err != nil {
+				t.Fatalf("write oversized frame: %v", err)
+			}
+			buf := make([]byte, 4096)
+			n, err := conn.Read(buf)
+			if err != nil {
+				t.Fatalf("read error response: %v", err)
+			}
+			resp := string(buf[:n])
+			if !strings.Contains(resp, string(CodeFrameTooLong)) || !strings.Contains(resp, `"ok":false`) {
+				t.Fatalf("response = %q, want a %s protocol error", resp, CodeFrameTooLong)
+			}
+			if got := fd.stats().FramesTooLong; got != 1 {
+				t.Fatalf("FramesTooLong = %d, want 1", got)
+			}
+		})
 	}
 }
 
 func TestMaxConnsCapAnswersBusy(t *testing.T) {
-	srv := serveFaulty(t, func(ln net.Listener) net.Listener { return ln },
-		WithMaxConns(1))
-
-	first, err := net.Dial("tcp", srv.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer first.Close()
-	if err := SetConnDeadline(first, 5*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := first.Write([]byte(`{"op":"ping"}` + "\n")); err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, 4096)
-	if _, err := first.Read(buf); err != nil {
-		t.Fatal(err) // first connection is serving; the cap is occupied
-	}
-
-	second, err := net.Dial("tcp", srv.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer second.Close()
-	if err := SetConnDeadline(second, 5*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	n, err := second.Read(buf)
-	if err != nil {
-		t.Fatalf("read busy response: %v", err)
-	}
-	if resp := string(buf[:n]); !strings.Contains(resp, string(CodeBusy)) {
-		t.Fatalf("response = %q, want %s", resp, CodeBusy)
-	}
-	if got := srv.Stats().RejectedFull; got != 1 {
-		t.Fatalf("RejectedFull = %d, want 1", got)
-	}
-
-	// Freeing the slot lets new connections in again.
-	_ = first.Close()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		cl, err := Dial(srv.Addr().String(), time.Second)
-		if err == nil {
-			pingErr := cl.Ping()
-			_ = cl.Close()
-			if pingErr == nil {
-				break
+	for _, fd := range frontDoors(t, WithMaxConns(1)) {
+		t.Run(fd.name, func(t *testing.T) {
+			first, err := net.Dial("tcp", fd.addr)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("slot never freed after closing the first connection")
-		}
-		time.Sleep(5 * time.Millisecond)
+			defer first.Close()
+			if err := SetConnDeadline(first, 5*time.Second); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := first.Write([]byte(`{"op":"ping"}` + "\n")); err != nil {
+				t.Fatal(err)
+			}
+			buf := make([]byte, 4096)
+			if _, err := first.Read(buf); err != nil {
+				t.Fatal(err) // first connection is serving; the cap is occupied
+			}
+
+			second, err := net.Dial("tcp", fd.addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer second.Close()
+			if err := SetConnDeadline(second, 5*time.Second); err != nil {
+				t.Fatal(err)
+			}
+			n, err := second.Read(buf)
+			if err != nil {
+				t.Fatalf("read busy response: %v", err)
+			}
+			if resp := string(buf[:n]); !strings.Contains(resp, string(CodeBusy)) {
+				t.Fatalf("response = %q, want %s", resp, CodeBusy)
+			}
+			if got := fd.stats().RejectedFull; got != 1 {
+				t.Fatalf("RejectedFull = %d, want 1", got)
+			}
+
+			// Freeing the slot lets new connections in again.
+			_ = first.Close()
+			deadline := time.Now().Add(5 * time.Second)
+			for {
+				cl, err := Dial(fd.addr, time.Second)
+				if err == nil {
+					pingErr := cl.Ping()
+					_ = cl.Close()
+					if pingErr == nil {
+						break
+					}
+				}
+				if time.Now().After(deadline) {
+					t.Fatal("slot never freed after closing the first connection")
+				}
+				time.Sleep(5 * time.Millisecond)
+			}
+		})
 	}
 }
 
@@ -310,28 +314,29 @@ func TestShutdownDrainsInFlightRequest(t *testing.T) {
 }
 
 func TestIdleConnectionsAreReaped(t *testing.T) {
-	srv := serveFaulty(t, func(ln net.Listener) net.Listener { return ln },
-		WithIdleTimeout(50*time.Millisecond))
-
-	conn, err := net.Dial("tcp", srv.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if err := SetConnDeadline(conn, 5*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	// Idle past the deadline: the server closes the connection.
-	buf := make([]byte, 64)
-	if _, err := conn.Read(buf); err == nil {
-		t.Fatal("read succeeded, want server-side close")
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for srv.Stats().IdleClosed == 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("IdleClosed = %d, want 1", srv.Stats().IdleClosed)
-		}
-		time.Sleep(5 * time.Millisecond)
+	for _, fd := range frontDoors(t, WithIdleTimeout(50*time.Millisecond)) {
+		t.Run(fd.name, func(t *testing.T) {
+			conn, err := net.Dial("tcp", fd.addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			if err := SetConnDeadline(conn, 5*time.Second); err != nil {
+				t.Fatal(err)
+			}
+			// Idle past the deadline: the server closes the connection.
+			buf := make([]byte, 64)
+			if _, err := conn.Read(buf); err == nil {
+				t.Fatal("read succeeded, want server-side close")
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			for fd.stats().IdleClosed == 0 {
+				if time.Now().After(deadline) {
+					t.Fatalf("IdleClosed = %d, want 1", fd.stats().IdleClosed)
+				}
+				time.Sleep(5 * time.Millisecond)
+			}
+		})
 	}
 }
 

@@ -3,10 +3,11 @@
 // service: sources connect and submit contexts; applications connect and
 // use contexts and query situations.
 //
-// The protocol is line-delimited JSON: one request object per line, one
-// response object per line, over a plain TCP connection. It is
-// deliberately simple — the paper's contribution is the resolution
-// service, not the transport.
+// The protocol is one JSON request object per frame and one response
+// object per frame over a plain TCP connection; a frame is a line, or
+// after a hello a length+CRC-prefixed block (Conn is the only code that
+// knows which). It is deliberately simple — the paper's contribution is
+// the resolution service, not the transport.
 package daemon
 
 import (

@@ -7,10 +7,7 @@ package daemon
 // (cluster imports daemon, never the reverse).
 
 import (
-	"bufio"
 	"encoding/json"
-	"errors"
-	"net"
 	"sync"
 	"time"
 )
@@ -41,31 +38,23 @@ func WithReplicationSource(src ReplicationSource) Option {
 	return func(o *options) { o.replSource = src }
 }
 
-// handleReplicate validates an OpReplicate request; the streaming itself
-// starts in serveConn after the ack is written, taking over the
-// connection's serving goroutine.
-func (s *Server) handleReplicate(req Request) Response {
-	if s.opt.replSource == nil {
-		return errResponse(errors.New("replicate: server has no replication source"))
-	}
-	return Response{OK: true}
-}
-
 // streamReplication runs a replication stream on the connection's
-// serving goroutine. It returns when the follower disconnects, the
-// server shuts down, or the feed fails; the caller closes the
-// connection either way.
+// serving goroutine, from the acked OpReplicate on. It returns when the
+// follower disconnects, the server shuts down, or the feed fails; the
+// loop closes the connection either way.
 //
 // The read side is handed to an ack-reader goroutine: followers send
 // OpReplAck position reports upstream on the same connection, and those
-// are what renew the leader's self-fencing lease. The reader owns br
-// from here on (the serving loop never reads again) and its death —
-// follower disconnect, malformed frame — stops the feed, so a follower
-// that stops acking also stops consuming shipper queue space.
-func (s *Server) streamReplication(conn net.Conn, br *bufio.Reader, binary bool, cw *connWriter, req Request) {
+// are what renew the leader's self-fencing lease. The reader owns the
+// connection's reads from here on (the serving loop never reads again)
+// and its death — follower disconnect, malformed frame — stops the feed,
+// so a follower that stops acking also stops consuming shipper queue
+// space. It outlives streamReplication by up to one read, unblocking
+// when the loop closes the connection.
+func (s *Server) streamReplication(peer *Peer, fromSeq uint64) {
 	// The stream idles legitimately between acks; the per-request idle
 	// deadline set by the serving loop must not reap it.
-	_ = conn.SetReadDeadline(time.Time{})
+	_ = peer.SetReadDeadline(time.Time{})
 
 	// stop merges "server shutting down" with "ack reader died" for
 	// ServeFeed, which takes a single stop channel.
@@ -83,18 +72,8 @@ func (s *Server) streamReplication(conn net.Conn, br *bufio.Reader, binary bool,
 	sink, _ := s.opt.replSource.(AckSink)
 	go func() {
 		defer closeStop()
-		// The reader outlives streamReplication by up to one read (it
-		// unblocks when the caller closes the connection), so it uses its
-		// own buffer rather than the pooled one the serving loop returns.
-		var buf []byte
 		for {
-			var payload []byte
-			var err error
-			if binary {
-				payload, err = readBinFrame(br, &buf)
-			} else {
-				payload, err = readLine(br, MaxLineBytes, &buf)
-			}
+			payload, err := peer.ReadFrame()
 			if err != nil {
 				return
 			}
@@ -114,61 +93,8 @@ func (s *Server) streamReplication(conn net.Conn, br *bufio.Reader, binary bool,
 	}()
 
 	send := func(f ReplFrame) bool {
-		frame := f
-		return cw.write(Response{OK: true, Push: true, Repl: &frame}, s.opt.idleTimeout)
+		return peer.Push(Response{OK: true, Push: true, Repl: &f})
 	}
-	_ = s.opt.replSource.ServeFeed(req.FromSeq, send, stop)
+	_ = s.opt.replSource.ServeFeed(fromSeq, send, stop)
 	closeStop()
 }
-
-// validRole reports whether a hello role is known.
-func validRole(role string) bool {
-	switch role {
-	case "", RoleClient, RoleFollower, RoleRouter:
-		return true
-	default:
-		return false
-	}
-}
-
-// Exported wire-framing facades for internal/cluster: the follower and
-// the router gateway speak the daemon's exact framing (hello
-// negotiation included) without reimplementing it.
-
-// AppendBinFrame appends one binary frame (len|crc32c|payload) to dst.
-func AppendBinFrame(dst, payload []byte) ([]byte, error) {
-	return appendBinFrame(dst, payload)
-}
-
-// ReadBinFrame reads one binary frame into buf (grown as needed).
-func ReadBinFrame(br *bufio.Reader, buf *[]byte) ([]byte, error) {
-	p, err := readBinFrame(br, buf)
-	if err != nil {
-		return nil, err
-	}
-	return p, nil
-}
-
-// ReadLineFrame reads one newline-terminated line-JSON frame.
-func ReadLineFrame(br *bufio.Reader, buf *[]byte) ([]byte, error) {
-	return readLine(br, MaxLineBytes, buf)
-}
-
-// IsFrameTooLong reports whether a read failed because the frame or line
-// exceeded MaxLineBytes.
-func IsFrameTooLong(err error) bool {
-	return errors.Is(err, errFrameTooLong) || errors.Is(err, errLineTooLong)
-}
-
-// IsFrameCRC reports whether a binary frame failed its checksum.
-func IsFrameCRC(err error) bool { return errors.Is(err, errFrameCRC) }
-
-// ErrResponse builds a typed error response; the router gateway answers
-// protocol trouble with the same taxonomy a shard daemon would.
-func ErrResponse(code Code, err error) Response {
-	return errResponseCode(code, err)
-}
-
-// InternRequest interns a decoded request's kind strings (see wire.go);
-// exported for the router gateway's decode path.
-func InternRequest(req *Request) { internRequest(req) }

@@ -1,13 +1,9 @@
 package daemon
 
 import (
-	"bufio"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -16,113 +12,25 @@ import (
 	"ctxres/internal/telemetry"
 )
 
-// Server serves the middleware protocol on a TCP listener. Create it with
-// Serve (or ServeListener) and stop it with Shutdown; every connection
-// goroutine is joined on shutdown.
-//
-// The serving path is fault-tolerant: transient Accept errors are retried
-// with capped exponential backoff, connections past the cap are answered
-// with a CodeBusy error, idle connections are reaped after IdleTimeout,
-// and oversized or malformed frames get a protocol error response instead
-// of a silent close.
+// Server is the middleware role behind the shared serving loop (see
+// Loop): it serves one middleware instance, pushes situation events to
+// subscribers, ships the journal to followers, and runs the periodic
+// checkpoint/compaction housekeeping. Create it with Serve (or
+// ServeListener) and stop it with Shutdown.
 type Server struct {
+	*Loop
 	mw     *middleware.Middleware
 	engine *situation.Engine // optional; nil disables OpSituations detail
-	ln     net.Listener
-	opt    options
-	start  time.Time
-
-	mu     sync.Mutex
-	closed bool
-	conns  map[net.Conn]*connState
 
 	// hub routes middleware deltas to situation subscribers (subscribe.go).
 	hub *hub
 
-	wg   sync.WaitGroup
-	stop chan struct{} // closed when Shutdown starts
-	done chan struct{} // closed when Shutdown finishes
-	// drainNotify wakes the drain loop when a request finishes or a
-	// connection goroutine exits (capacity 1: a pending token means
-	// "re-check", collapsing bursts).
-	drainNotify chan struct{}
-	counters    serverCounters
+	maintDone chan struct{} // closed when the maintenance loop has exited
+	counters  serverCounters
 
-	// Observability (see telemetry.go). reg is kept for the OpStats
-	// snapshot; tel's zero value disables all per-request instruments.
-	reg *telemetry.Registry
-	tel serverTelemetry
-}
-
-// MaxLineBytes bounds a single request/response line.
-const MaxLineBytes = 1 << 20
-
-// Tuning defaults (see the With* options).
-const (
-	DefaultIdleTimeout      = 5 * time.Minute
-	DefaultMaxConns         = 1024
-	DefaultDrainTimeout     = 5 * time.Second
-	DefaultAcceptBackoffMin = 5 * time.Millisecond
-	DefaultAcceptBackoffMax = time.Second
-)
-
-// ErrServerClosed reports an operation on a stopped server.
-var ErrServerClosed = errors.New("daemon: server closed")
-
-type options struct {
-	idleTimeout      time.Duration
-	maxConns         int
-	drainTimeout     time.Duration
-	acceptBackoffMin time.Duration
-	acceptBackoffMax time.Duration
-	snapshotInterval time.Duration
-	compactInterval  time.Duration
-	telemetry        *telemetry.Registry
-	subs             SubscriptionOptions
-	replSource       ReplicationSource
-	spanSink         telemetry.SpanSink
-	sampler          *telemetry.Sampler
-	prov             *telemetry.ProvenanceRing
-	fence            FenceProvider
-}
-
-func defaultOptions() options {
-	return options{
-		idleTimeout:      DefaultIdleTimeout,
-		maxConns:         DefaultMaxConns,
-		drainTimeout:     DefaultDrainTimeout,
-		acceptBackoffMin: DefaultAcceptBackoffMin,
-		acceptBackoffMax: DefaultAcceptBackoffMax,
-	}
-}
-
-// Option tunes the server.
-type Option func(*options)
-
-// WithIdleTimeout sets the per-connection read deadline between requests;
-// a connection idle longer is closed. Zero or negative disables the
-// deadline (connections may idle forever).
-func WithIdleTimeout(d time.Duration) Option {
-	return func(o *options) { o.idleTimeout = d }
-}
-
-// WithMaxConns caps concurrent connections; extra connections receive a
-// CodeBusy error response and are closed. Zero or negative means
-// unlimited.
-func WithMaxConns(n int) Option {
-	return func(o *options) { o.maxConns = n }
-}
-
-// WithDrainTimeout bounds how long Shutdown waits for in-flight requests
-// to finish before force-closing their connections.
-func WithDrainTimeout(d time.Duration) Option {
-	return func(o *options) { o.drainTimeout = d }
-}
-
-// WithAcceptBackoff sets the backoff window for retrying temporary Accept
-// errors (the delay starts at min and doubles up to max).
-func WithAcceptBackoff(min, max time.Duration) Option {
-	return func(o *options) { o.acceptBackoffMin, o.acceptBackoffMax = min, max }
+	// pushes is the event enqueue → write-complete latency; nil without
+	// WithTelemetry.
+	pushes *telemetry.Histogram
 }
 
 // WithSnapshotInterval makes the server checkpoint the middleware's
@@ -178,18 +86,10 @@ func (s *Server) fenceCheck(op Op) (Response, bool) {
 	return resp, true
 }
 
-// serverCounters are the transport-level counters; ServerStats is their
-// snapshot form.
+// serverCounters are the middleware role's counters, reported in
+// ServerStats next to the loop's transport counters.
 type serverCounters struct {
-	accepted      atomic.Int64
-	acceptRetries atomic.Int64
-	rejectedFull  atomic.Int64
-	requests      atomic.Int64
-	badRequests   atomic.Int64
-	framesTooLong atomic.Int64
-	idleClosed    atomic.Int64
-	readErrors    atomic.Int64
-	maintErrors   atomic.Int64
+	maintErrors atomic.Int64
 
 	// Push-delivery counters (subscribe.go).
 	pushesDelivered atomic.Int64
@@ -230,94 +130,16 @@ type ServerStats struct {
 	SubscribersShed int64 `json:"subscribersShed"`
 }
 
-// Stats snapshots the transport counters.
+// Stats snapshots the transport counters and the push and maintenance
+// counters.
 func (s *Server) Stats() ServerStats {
-	var subscribers int64
-	if s.hub != nil {
-		subscribers = int64(s.hub.size())
-	}
-	return ServerStats{
-		Subscribers:       subscribers,
-		PushesDelivered:   s.counters.pushesDelivered.Load(),
-		PushesDropped:     s.counters.pushesDropped.Load(),
-		SubscribersShed:   s.counters.subscribersShed.Load(),
-		Accepted:          s.counters.accepted.Load(),
-		AcceptRetries:     s.counters.acceptRetries.Load(),
-		RejectedFull:      s.counters.rejectedFull.Load(),
-		Requests:          s.counters.requests.Load(),
-		BadRequests:       s.counters.badRequests.Load(),
-		FramesTooLong:     s.counters.framesTooLong.Load(),
-		IdleClosed:        s.counters.idleClosed.Load(),
-		ReadErrors:        s.counters.readErrors.Load(),
-		UptimeSeconds:     time.Since(s.start).Seconds(),
-		MaintenanceErrors: s.counters.maintErrors.Load(),
-	}
-}
-
-// connState tracks one connection's drain status: Shutdown closes idle
-// connections immediately but lets a connection that has read a request
-// finish writing its response.
-type connState struct {
-	conn net.Conn
-	// drainCh is the server's drainNotify channel; endRequest signals it
-	// so a draining Shutdown wakes as soon as the last in-flight request
-	// finishes instead of polling.
-	drainCh chan<- struct{}
-
-	mu       sync.Mutex
-	inFlight bool
-	closed   bool
-}
-
-func (cs *connState) beginRequest() bool {
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	if cs.closed {
-		return false
-	}
-	cs.inFlight = true
-	return true
-}
-
-func (cs *connState) endRequest() {
-	cs.mu.Lock()
-	cs.inFlight = false
-	cs.mu.Unlock()
-	notifyDrain(cs.drainCh)
-}
-
-// notifyDrain posts a non-blocking wakeup token; a token already pending
-// means a re-check is queued and nothing is lost.
-func notifyDrain(ch chan<- struct{}) {
-	select {
-	case ch <- struct{}{}:
-	default:
-	}
-}
-
-// closeIfIdle closes the connection unless a request is in flight. It
-// reports whether the connection is (now) closed.
-func (cs *connState) closeIfIdle() bool {
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	if cs.closed {
-		return true
-	}
-	if cs.inFlight {
-		return false
-	}
-	cs.closed = true
-	_ = cs.conn.Close()
-	return true
-}
-
-func (cs *connState) forceClose() {
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	if !cs.closed {
-		cs.closed = true
-		_ = cs.conn.Close()
-	}
+	st := s.Loop.Stats()
+	st.Subscribers = int64(s.hub.size())
+	st.PushesDelivered = s.counters.pushesDelivered.Load()
+	st.PushesDropped = s.counters.pushesDropped.Load()
+	st.SubscribersShed = s.counters.subscribersShed.Load()
+	st.MaintenanceErrors = s.counters.maintErrors.Load()
+	return st
 }
 
 // Serve starts accepting connections on addr (e.g. "127.0.0.1:7654"; use
@@ -334,32 +156,13 @@ func Serve(addr string, mw *middleware.Middleware, engine *situation.Engine, opt
 // of ln (Shutdown closes it). This is the injection point for fault
 // harnesses such as internal/daemon/faultconn.
 func ServeListener(ln net.Listener, mw *middleware.Middleware, engine *situation.Engine, opts ...Option) *Server {
-	opt := defaultOptions()
-	for _, o := range opts {
-		o(&opt)
-	}
-	s := &Server{
-		mw:          mw,
-		engine:      engine,
-		ln:          ln,
-		opt:         opt,
-		start:       time.Now(),
-		conns:       make(map[net.Conn]*connState),
-		stop:        make(chan struct{}),
-		done:        make(chan struct{}),
-		drainNotify: make(chan struct{}, 1),
-	}
-	s.hub = newHub(s, opt.subs)
+	s := &Server{mw: mw, engine: engine, maintDone: make(chan struct{})}
+	s.Loop = newLoop(ln, func(p *Peer) Handler { return &mwConn{s: s, peer: p} }, opts)
+	s.hub = newHub(s, s.opt.subs)
 	mw.SetDeltaHook(s.hub.notify)
-	s.reg = opt.telemetry
-	s.tel = newServerTelemetry(opt.telemetry)
-	s.registerTelemetryFuncs(opt.telemetry)
-	s.wg.Add(1)
-	go s.acceptLoop()
-	if opt.snapshotInterval > 0 || opt.compactInterval > 0 {
-		s.wg.Add(1)
-		go s.maintenanceLoop()
-	}
+	s.registerTelemetry(s.opt.telemetry)
+	s.Loop.run()
+	go s.maintenanceLoop()
 	return s
 }
 
@@ -369,7 +172,7 @@ func ServeListener(ln net.Listener, mw *middleware.Middleware, engine *situation
 // tick rather than taking the server down; a failed journal makes the
 // serving path itself report errors.
 func (s *Server) maintenanceLoop() {
-	defer s.wg.Done()
+	defer close(s.maintDone)
 	var snapC, compactC <-chan time.Time
 	if s.opt.snapshotInterval > 0 {
 		t := time.NewTicker(s.opt.snapshotInterval)
@@ -397,344 +200,20 @@ func (s *Server) maintenanceLoop() {
 	}
 }
 
-// Addr returns the listener's address (useful with ephemeral ports).
-func (s *Server) Addr() net.Addr { return s.ln.Addr() }
-
-// Shutdown stops accepting, drains in-flight requests (bounded by the
-// drain timeout), closes every live connection, and waits for all
-// connection goroutines to exit. It is idempotent.
+// Shutdown stops the loop (draining in-flight requests and flushing
+// queued pushes) and the maintenance goroutine. It is idempotent.
 func (s *Server) Shutdown() {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		s.wg.Wait()
-		return
-	}
-	s.closed = true
-	close(s.stop)
-	_ = s.ln.Close()
-	s.mu.Unlock()
-
 	// Detach the delta hook first: no new events enqueue during drain,
 	// while already-queued events are still flushed by the pushers.
 	s.mw.SetDeltaHook(nil)
-	s.drain()
-	s.wg.Wait()
-	close(s.done)
-}
-
-// drain closes idle connections immediately and gives connections with a
-// request in flight until the drain timeout to finish responding. It is
-// event-driven: finished requests and departing connection goroutines
-// signal drainNotify, so the loop wakes exactly when progress is possible
-// (plus one deadline timer) instead of polling.
-func (s *Server) drain() {
-	timer := time.NewTimer(s.opt.drainTimeout)
-	defer timer.Stop()
-	for {
-		s.mu.Lock()
-		states := make([]*connState, 0, len(s.conns))
-		for _, cs := range s.conns {
-			states = append(states, cs)
-		}
-		s.mu.Unlock()
-		if len(states) == 0 {
-			return
-		}
-		allClosed := true
-		for _, cs := range states {
-			if !cs.closeIfIdle() {
-				allClosed = false
-			}
-		}
-		if allClosed {
-			return
-		}
-		select {
-		case <-timer.C:
-			for _, cs := range states {
-				cs.forceClose()
-			}
-			return
-		case <-s.drainNotify:
-			// A request finished or a connection went away: re-check.
-		}
-	}
-}
-
-// Done is closed once the server has fully stopped.
-func (s *Server) Done() <-chan struct{} { return s.done }
-
-// draining reports whether Shutdown has started.
-func (s *Server) draining() bool {
-	select {
-	case <-s.stop:
-		return true
-	default:
-		return false
-	}
-}
-
-func (s *Server) acceptLoop() {
-	defer s.wg.Done()
-	backoff := s.opt.acceptBackoffMin
-	for {
-		conn, err := s.ln.Accept()
-		if err != nil {
-			if s.draining() || !isTemporary(err) {
-				return
-			}
-			// Transient failure (EMFILE, ECONNABORTED, an injected fault):
-			// back off and keep the server alive instead of killing the
-			// accept loop permanently.
-			s.counters.acceptRetries.Add(1)
-			select {
-			case <-s.stop:
-				return
-			case <-time.After(backoff):
-			}
-			backoff *= 2
-			if backoff > s.opt.acceptBackoffMax {
-				backoff = s.opt.acceptBackoffMax
-			}
-			continue
-		}
-		backoff = s.opt.acceptBackoffMin
-		cs, st := s.track(conn)
-		switch st {
-		case trackClosed:
-			_ = conn.Close()
-			return
-		case trackFull:
-			s.counters.rejectedFull.Add(1)
-			s.rejectBusy(conn)
-			continue
-		}
-		s.counters.accepted.Add(1)
-		s.wg.Add(1)
-		go s.serveConn(cs)
-	}
-}
-
-// isTemporary reports whether an Accept error is worth retrying.
-func isTemporary(err error) bool {
-	var te interface{ Temporary() bool }
-	return errors.As(err, &te) && te.Temporary()
-}
-
-// rejectBusy answers an over-cap connection with a protocol error before
-// closing it, so well-behaved clients can tell overload from a crash. It
-// runs on the accept loop, so the write deadline matters: it is derived
-// from the configured idle timeout (capped at one second) rather than
-// hardcoded, keeping a stalled over-cap client from holding up Accept
-// longer than the server's own idle policy would tolerate.
-func (s *Server) rejectBusy(conn net.Conn) {
-	d := s.opt.idleTimeout
-	if d <= 0 || d > time.Second {
-		d = time.Second
-	}
-	resp := errResponseCode(CodeBusy, fmt.Errorf("server at connection cap (%d)", s.opt.maxConns))
-	if payload, err := json.Marshal(resp); err == nil {
-		_ = conn.SetWriteDeadline(time.Now().Add(d))
-		_, _ = conn.Write(append(payload, '\n'))
-	}
-	_ = conn.Close()
-}
-
-type trackResult int
-
-const (
-	trackOK trackResult = iota
-	trackClosed
-	trackFull
-)
-
-func (s *Server) track(conn net.Conn) (*connState, trackResult) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil, trackClosed
-	}
-	if s.opt.maxConns > 0 && len(s.conns) >= s.opt.maxConns {
-		return nil, trackFull
-	}
-	cs := &connState{conn: conn, drainCh: s.drainNotify}
-	s.conns[conn] = cs
-	return cs, trackOK
-}
-
-func (s *Server) untrack(conn net.Conn) {
-	s.mu.Lock()
-	delete(s.conns, conn)
-	s.mu.Unlock()
-	notifyDrain(s.drainNotify)
-}
-
-func (s *Server) serveConn(cs *connState) {
-	conn := cs.conn
-	defer s.wg.Done()
-	defer s.untrack(conn)
-
-	// One shared buffered reader serves both wire formats: hello is read as
-	// a line, and when the connection switches to binary framing any bytes
-	// the reader already buffered are still consumed in order.
-	br := bufio.NewReader(conn)
-	readBuf := getWireBuf()
-	defer putWireBuf(readBuf)
-	// All writes — responses here, event pushes from the pusher goroutine
-	// — go through one connWriter, so frames never interleave.
-	cw := newConnWriter(conn)
-	binary := false
-	// role is the hello-declared connection role; follower and router
-	// connections are exempt from the idle reaper (see protocol.go).
-	role := ""
-	// sub is the connection's push side, created on its first subscribe.
-	// This defer runs before the buffer is pooled (LIFO): closing the
-	// connection unblocks a pusher stuck in a write, and the detach joins
-	// the pusher goroutine before any shared state is recycled.
-	var sub *subscriber
-	defer func() {
-		_ = conn.Close()
-		s.detachSubscriber(sub)
-	}()
-
-	// respond marshals once and frames per the negotiated format; the JSON
-	// payload bytes are identical either way (the differential suite pins
-	// this), binary mode just swaps the newline delimiter for a
-	// length+CRC header.
-	respond := func(resp Response) bool {
-		return cw.write(resp, s.opt.idleTimeout)
-	}
-
-	for {
-		if s.opt.idleTimeout > 0 {
-			// A connection with live subscriptions legitimately idles
-			// between pushes, and follower/router connections idle by
-			// design; the idle reaper only applies to plain clients with
-			// no subscriptions.
-			var deadline time.Time
-			if (sub == nil || sub.n.Load() == 0) &&
-				role != RoleFollower && role != RoleRouter {
-				deadline = time.Now().Add(s.opt.idleTimeout)
-			}
-			if err := conn.SetReadDeadline(deadline); err != nil {
-				return
-			}
-		}
-		var payload []byte
-		var readErr error
-		if binary {
-			payload, readErr = readBinFrame(br, readBuf)
-		} else {
-			payload, readErr = readLine(br, MaxLineBytes, readBuf)
-		}
-		if readErr != nil {
-			switch {
-			case errors.Is(readErr, io.EOF) || s.draining():
-				// Clean disconnect, or our own shutdown close.
-			case errors.Is(readErr, errLineTooLong), errors.Is(readErr, errFrameTooLong):
-				// The stream cannot be re-synchronized past an unbounded
-				// line or a rejected frame, but the client deserves to know
-				// why it is being dropped.
-				s.counters.framesTooLong.Add(1)
-				respond(errResponseCode(CodeFrameTooLong,
-					fmt.Errorf("request frame exceeds %d bytes", MaxLineBytes)))
-			case errors.Is(readErr, errFrameCRC):
-				// Corrupt frame: the payload length was consumed, but the
-				// content cannot be trusted — and neither can anything after
-				// it on this stream.
-				s.counters.badRequests.Add(1)
-				respond(errResponseCode(CodeBadRequest,
-					errors.New("bad request: frame checksum mismatch")))
-			case isTimeout(readErr):
-				s.counters.idleClosed.Add(1)
-			default:
-				s.counters.readErrors.Add(1)
-			}
-			return
-		}
-		if len(payload) == 0 {
-			continue
-		}
-		if !cs.beginRequest() {
-			return // shutdown closed the connection under us
-		}
-		s.counters.requests.Add(1)
-		s.tel.inflight.Add(1)
-		reqStart := s.tel.now()
-		var req Request
-		var resp Response
-		op := "invalid"
-		if err := json.Unmarshal(payload, &req); err != nil {
-			s.counters.badRequests.Add(1)
-			resp = errResponseCode(CodeBadRequest, fmt.Errorf("bad request: %w", err))
-		} else {
-			internRequest(&req)
-			op = string(req.Op)
-			resp = s.handleConn(cs, &sub, cw, req)
-		}
-		s.tel.requestDone(op, reqStart, resp)
-		s.tel.inflight.Add(-1)
-		ok := respond(resp)
-		cs.endRequest()
-		if !ok || s.draining() {
-			return
-		}
-		// The hello ack travels in the old format; everything after it in
-		// the negotiated one. No push can race the switch: hello is
-		// refused once the connection has subscriptions.
-		if req.Op == OpHello && resp.OK {
-			binary = resp.Format == FormatBinary
-			cw.setBinary(binary)
-			role = req.Role
-		}
-		// A replicate ack hands the connection over to the stream: the
-		// serving goroutine writes records until the follower disconnects
-		// or the server stops. The read side is handed to an ack-reader
-		// goroutine that consumes the follower's repl-ack position
-		// reports (the leader lease renewals).
-		if req.Op == OpReplicate && resp.OK {
-			s.streamReplication(conn, br, binary, cw, req)
-			return
-		}
-	}
-}
-
-func isTimeout(err error) bool {
-	var ne net.Error
-	return errors.As(err, &ne) && ne.Timeout()
+	s.Loop.Shutdown()
+	<-s.maintDone
 }
 
 func (s *Server) handle(req Request) Response {
 	switch req.Op {
 	case OpPing:
 		return Response{OK: true}
-	case OpHello:
-		if !validRole(req.Role) {
-			return errResponse(fmt.Errorf("hello: unknown role %q", req.Role))
-		}
-		// The trace ack is true only when this server can actually record
-		// spans; a client must not stamp trace fields without it, so peers
-		// on either side of the upgrade exchange identical bytes.
-		traceOK := req.Trace && s.opt.spanSink != nil
-		// With a fence installed the ack announces the fencing epoch, so
-		// routers and clients learn promotions at connect time without an
-		// extra stats round-trip. Epoch 0 (pre-fencing) is omitted on the
-		// wire, keeping the ack bytes identical to older peers'.
-		var epoch uint64
-		if s.opt.fence != nil {
-			epoch = s.opt.fence.Epoch()
-		}
-		switch req.Format {
-		case "", FormatJSON:
-			return Response{OK: true, Format: FormatJSON, Trace: traceOK, Epoch: epoch}
-		case FormatBinary:
-			return Response{OK: true, Format: FormatBinary, Trace: traceOK, Epoch: epoch}
-		default:
-			return errResponse(fmt.Errorf("hello: unknown format %q", req.Format))
-		}
-	case OpReplicate:
-		return s.handleReplicate(req)
 	case OpSubmit:
 		if resp, shed := s.fenceCheck(req.Op); shed {
 			return resp
@@ -822,7 +301,7 @@ func (s *Server) handle(req Request) Response {
 			Pool:       &poolStats,
 			Daemon:     &srvStats,
 			Journal:    s.mw.JournalStats(),
-			Telemetry:  s.reg.Snapshot(),
+			Telemetry:  s.opt.telemetry.Snapshot(),
 			Resilience: &resStats,
 			Health:     s.mw.HealthSnapshot(),
 		}
@@ -834,11 +313,6 @@ func (s *Server) handle(req Request) Response {
 			}
 		}
 		return Response{OK: true, Active: active}
-	case OpSubscribe, OpUnsubscribe:
-		// Reached only through direct handle calls (fuzzers, tests):
-		// the serving path intercepts these in handleConn, where the
-		// connection state they need lives.
-		return errResponse(fmt.Errorf("%s: subscriptions require a live connection", req.Op))
 	default:
 		return errResponse(fmt.Errorf("unknown op %q", req.Op))
 	}

@@ -12,11 +12,8 @@ package daemon
 // the middleware or other subscribers.
 
 import (
-	"bufio"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"net"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -57,70 +54,6 @@ func WithSubscriptions(so SubscriptionOptions) Option {
 	return func(o *options) { o.subs = so }
 }
 
-// connWriter serializes every frame written to one connection — responses
-// from the serving goroutine and event pushes from the pusher goroutine —
-// and owns the negotiated framing, so a frame is always written whole and
-// in one format. This is what keeps server-initiated pushes from ever
-// desyncing the request/response stream.
-type connWriter struct {
-	conn net.Conn
-
-	mu       sync.Mutex
-	w        *bufio.Writer
-	binary   bool
-	frameBuf []byte
-}
-
-func newConnWriter(conn net.Conn) *connWriter {
-	return &connWriter{conn: conn, w: bufio.NewWriter(conn)}
-}
-
-// write marshals resp and writes it as one frame in the connection's
-// current format, bounded by deadline (zero disables the write deadline).
-// The JSON payload bytes are identical in both formats (the differential
-// suite pins this); binary mode swaps the newline delimiter for a
-// length+CRC header.
-func (cw *connWriter) write(resp Response, deadline time.Duration) bool {
-	payload, err := json.Marshal(resp)
-	if err != nil {
-		return false
-	}
-	cw.mu.Lock()
-	defer cw.mu.Unlock()
-	if deadline > 0 {
-		if err := cw.conn.SetWriteDeadline(time.Now().Add(deadline)); err != nil {
-			return false
-		}
-	}
-	if cw.binary {
-		framed, err := appendBinFrame(cw.frameBuf[:0], payload)
-		if err != nil {
-			return false
-		}
-		cw.frameBuf = framed[:0]
-		if _, err := cw.w.Write(framed); err != nil {
-			return false
-		}
-	} else {
-		if _, err := cw.w.Write(payload); err != nil {
-			return false
-		}
-		if err := cw.w.WriteByte('\n'); err != nil {
-			return false
-		}
-	}
-	return cw.w.Flush() == nil
-}
-
-// setBinary flips the framing after a successful hello ack. The server
-// refuses hello on connections with active subscriptions, so no push can
-// race the switch.
-func (cw *connWriter) setBinary(b bool) {
-	cw.mu.Lock()
-	cw.binary = b
-	cw.mu.Unlock()
-}
-
 // pushItem is one queued event frame plus its enqueue instant for the
 // push-latency histogram. trace links the push back to the operation
 // whose delta triggered it: when that operation ran under a sampled
@@ -135,8 +68,7 @@ type pushItem struct {
 // drained by a dedicated pusher goroutine. It is created on the
 // connection's first OpSubscribe and lives until the connection ends.
 type subscriber struct {
-	cs    *connState
-	cw    *connWriter
+	peer  *Peer
 	queue chan pushItem
 
 	n atomic.Int32 // registered subscriptions (read by the serve loop)
@@ -156,7 +88,7 @@ func (sub *subscriber) markLagged() {
 		// Abort a push write currently blocked on the stalled connection
 		// so the pusher observes the shed promptly instead of waiting out
 		// the full write deadline.
-		_ = sub.cw.conn.SetWriteDeadline(time.Now())
+		_ = sub.peer.SetWriteDeadline(time.Now())
 	})
 }
 
@@ -385,27 +317,23 @@ func (h *hub) shedLocked(sub *subscriber) {
 }
 
 // newSubscriber attaches push delivery to a connection and starts its
-// pusher goroutine (joined via the server WaitGroup on shutdown).
-func (s *Server) newSubscriber(cs *connState, cw *connWriter) *subscriber {
+// pusher goroutine (joined by detachSubscriber when the connection ends).
+func (s *Server) newSubscriber(peer *Peer) *subscriber {
 	sub := &subscriber{
-		cs:      cs,
-		cw:      cw,
+		peer:    peer,
 		queue:   make(chan pushItem, s.hub.queueLen),
 		lagged:  make(chan struct{}),
 		stop:    make(chan struct{}),
 		done:    make(chan struct{}),
 		entries: make(map[string]*subEntry),
 	}
-	s.wg.Add(1)
 	go s.pusher(sub)
 	return sub
 }
 
 // pusher drains one subscriber's event queue onto its connection.
 func (s *Server) pusher(sub *subscriber) {
-	defer s.wg.Done()
 	defer close(sub.done)
-	deadline := s.opt.idleTimeout
 	for {
 		select {
 		case <-sub.lagged:
@@ -413,19 +341,19 @@ func (s *Server) pusher(sub *subscriber) {
 			// aborted and handled below), so the typed notice can be
 			// framed safely. Best-effort: the consumer already proved
 			// slow.
-			_ = sub.cw.write(Response{OK: false, Push: true, Code: CodeSubscriberLagged,
+			sub.peer.write(Response{OK: false, Push: true, Code: CodeSubscriberLagged,
 				Error: "subscriber lagged: event queue overflowed"}, laggedWriteDeadline)
-			sub.cs.forceClose()
+			sub.peer.forceClose()
 			return
 		case <-sub.stop:
 			return
 		case <-s.stop:
 			// Shutdown: flush what is queued (drain force-closes the
 			// connection at the drain deadline, aborting a stuck flush).
-			s.flushPushes(sub, deadline)
+			s.flushPushes(sub)
 			return
 		case it := <-sub.queue:
-			if !s.writePush(sub, it, deadline) {
+			if !s.writePush(sub, it) {
 				return
 			}
 		}
@@ -437,14 +365,16 @@ func (s *Server) pusher(sub *subscriber) {
 // patched — if the failure came from a shed's deadline abort, the client
 // learns via the connection close instead of the (now unframeable)
 // notice.
-func (s *Server) writePush(sub *subscriber, it pushItem, deadline time.Duration) bool {
-	if !sub.cw.write(it.resp, deadline) {
+func (s *Server) writePush(sub *subscriber, it pushItem) bool {
+	if !sub.peer.Push(it.resp) {
 		s.hub.detachEntries(sub)
-		sub.cs.forceClose()
+		sub.peer.forceClose()
 		return false
 	}
 	s.counters.pushesDelivered.Add(1)
-	s.tel.pushDone(it.enq)
+	if s.pushes != nil && !it.enq.IsZero() {
+		s.pushes.ObserveDuration(time.Since(it.enq))
+	}
 	if s.opt.spanSink != nil && it.trace.Sampled() {
 		s.opt.spanSink.RecordSpan(&telemetry.Span{
 			Op:       "push",
@@ -460,11 +390,11 @@ func (s *Server) writePush(sub *subscriber, it pushItem, deadline time.Duration)
 	return true
 }
 
-func (s *Server) flushPushes(sub *subscriber, deadline time.Duration) {
+func (s *Server) flushPushes(sub *subscriber) {
 	for {
 		select {
 		case it := <-sub.queue:
-			if !s.writePush(sub, it, deadline) {
+			if !s.writePush(sub, it) {
 				return
 			}
 		default:
@@ -485,32 +415,46 @@ func (s *Server) detachSubscriber(sub *subscriber) {
 	<-sub.done
 }
 
-// handleConn dispatches ops that need connection state (subscriptions,
-// format negotiation guards); everything else goes through the pure
-// handle.
-func (s *Server) handleConn(cs *connState, subp **subscriber, cw *connWriter, req Request) Response {
+// mwConn is the middleware role's per-connection Handler: it owns the
+// ops that need connection state (subscriptions, the replication
+// hand-over); everything else goes through the server's pure handle.
+type mwConn struct {
+	s    *Server
+	peer *Peer
+	// sub is the connection's push side, created on its first subscribe.
+	sub *subscriber
+}
+
+func (c *mwConn) Subscribed() bool { return c.sub != nil && c.sub.n.Load() > 0 }
+
+func (c *mwConn) Close() { c.s.detachSubscriber(c.sub) }
+
+func (c *mwConn) Handle(req *Request) (Response, func()) {
 	switch req.Op {
-	case OpHello:
-		if sub := *subp; sub != nil && sub.n.Load() > 0 {
-			return errResponse(errors.New("hello: cannot renegotiate wire format with active subscriptions"))
-		}
-		return s.handle(req)
 	case OpSubscribe:
-		return s.handleSubscribe(cs, subp, cw, req)
+		return c.handleSubscribe(req), nil
 	case OpUnsubscribe:
 		if req.SubID == "" {
-			return errResponseCode(CodeBadRequest, errors.New("unsubscribe: missing subId"))
+			return errResponseCode(CodeBadRequest, errors.New("unsubscribe: missing subId")), nil
 		}
-		if *subp == nil {
-			return errResponse(fmt.Errorf("unsubscribe: unknown subscription %q", req.SubID))
+		if c.sub == nil {
+			return errResponse(fmt.Errorf("unsubscribe: unknown subscription %q", req.SubID)), nil
 		}
-		return s.hub.unsubscribe(*subp, req.SubID)
+		return c.s.hub.unsubscribe(c.sub, req.SubID), nil
+	case OpReplicate:
+		if c.s.opt.replSource == nil {
+			return errResponse(errors.New("replicate: server has no replication source")), nil
+		}
+		// The ack hands the connection over to the replication stream.
+		fromSeq := req.FromSeq
+		return Response{OK: true}, func() { c.s.streamReplication(c.peer, fromSeq) }
 	default:
-		return s.handle(req)
+		return c.s.handle(*req), nil
 	}
 }
 
-func (s *Server) handleSubscribe(cs *connState, subp **subscriber, cw *connWriter, req Request) Response {
+func (c *mwConn) handleSubscribe(req *Request) Response {
+	s := c.s
 	if req.SubID == "" {
 		return errResponseCode(CodeBadRequest, errors.New("subscribe: missing subId"))
 	}
@@ -541,8 +485,8 @@ func (s *Server) handleSubscribe(cs *connState, subp **subscriber, cw *connWrite
 			return errResponseCode(CodeBadRequest, fmt.Errorf("subscribe: %w", err))
 		}
 	}
-	if *subp == nil {
-		*subp = s.newSubscriber(cs, cw)
+	if c.sub == nil {
+		c.sub = s.newSubscriber(c.peer)
 	}
-	return s.hub.subscribe(*subp, req.SubID, label, f)
+	return s.hub.subscribe(c.sub, req.SubID, label, f)
 }

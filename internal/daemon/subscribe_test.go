@@ -400,7 +400,7 @@ func TestStalledSubscriberShed(t *testing.T) {
 	// written before the shed, then fail).
 	_ = stalled.conn.SetReadDeadline(time.Now().Add(2 * time.Second))
 	for {
-		if _, err := readLine(stalled.br, MaxLineBytes, &stalled.buf); err != nil {
+		if _, err := stalled.conn.ReadFrame(); err != nil {
 			break
 		}
 	}
@@ -436,7 +436,7 @@ func TestSubscriberLaggedNoticeDelivered(t *testing.T) {
 	h.mu.Unlock()
 
 	_ = rc.conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	body, err := readLine(rc.br, MaxLineBytes, &rc.buf)
+	body, err := rc.conn.ReadFrame()
 	if err != nil {
 		t.Fatalf("read lagged notice: %v", err)
 	}
@@ -444,7 +444,7 @@ func TestSubscriberLaggedNoticeDelivered(t *testing.T) {
 	if !resp.Push || resp.OK || resp.Code != CodeSubscriberLagged {
 		t.Fatalf("notice = %+v, want push frame with %s", resp, CodeSubscriberLagged)
 	}
-	if _, err := readLine(rc.br, MaxLineBytes, &rc.buf); err == nil {
+	if _, err := rc.conn.ReadFrame(); err == nil {
 		t.Fatal("connection still open after shed")
 	}
 	if got := srv.Stats().SubscribersShed; got != 1 {
@@ -501,9 +501,10 @@ func TestResubscribeAfterConnCut(t *testing.T) {
 	if _, err := pubClient.Submit(subjLoc("peter", "p1", 1, ctx.WithTTL(2*time.Second))); err != nil {
 		t.Fatal(err)
 	}
-	// The deactivation must arrive on the replacement connection.
+	// The deactivation must arrive on the replacement connection — the
+	// third one accepted, after the subscriber's first and the publisher's.
 	deadline := time.Now().Add(5 * time.Second)
-	for srv.Stats().Subscribers == 0 {
+	for st := srv.Stats(); st.Accepted < 3 || st.Subscribers == 0; st = srv.Stats() {
 		if time.Now().After(deadline) {
 			t.Fatal("subscription never re-registered after cut")
 		}
@@ -674,11 +675,11 @@ func TestRejectBusyDeadlineDerivedFromIdleTimeout(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			s := &Server{opt: options{idleTimeout: tc.idle, maxConns: 1}}
+			l := &Loop{opt: options{idleTimeout: tc.idle, maxConns: 1}}
 			c1, c2 := net.Pipe()
 			defer c2.Close()
 			start := time.Now()
-			s.rejectBusy(c1)
+			l.rejectBusy(&Peer{Conn: NewConn(c1), loop: l})
 			if elapsed := time.Since(start); elapsed > tc.maxWait {
 				t.Fatalf("rejectBusy blocked %v with idleTimeout %v", elapsed, tc.idle)
 			}

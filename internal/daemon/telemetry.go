@@ -1,11 +1,6 @@
 package daemon
 
-import (
-	"sync/atomic"
-	"time"
-
-	"ctxres/internal/telemetry"
-)
+import "ctxres/internal/telemetry"
 
 // WithTelemetry exports the daemon's serving-path metrics into reg:
 // a per-op request latency histogram, an in-flight gauge, failed
@@ -37,97 +32,23 @@ func WithProvenance(ring *telemetry.ProvenanceRing) Option {
 	return func(o *options) { o.prov = ring }
 }
 
-// serverTelemetry bundles the per-request instruments. The zero value is
-// "telemetry off": all instruments are nil and no clock is read.
-type serverTelemetry struct {
-	on       bool
-	requests *telemetry.HistogramVec // by op
-	inflight *telemetry.Gauge
-	errcodes *telemetry.CounterVec // by response code
-	pushes   *telemetry.Histogram  // event enqueue → write-complete latency
-}
-
-func newServerTelemetry(reg *telemetry.Registry) serverTelemetry {
-	t := serverTelemetry{on: reg != nil}
+// registerTelemetry installs the middleware role's instruments next to
+// the loop's: the push-latency histogram and scrape-time mirrors of the
+// push and maintenance counters, the subscription count, and gauges over
+// the middleware's pool and strategy buffer.
+func (s *Server) registerTelemetry(reg *telemetry.Registry) {
 	if reg == nil {
-		return t
+		return
 	}
-	t.requests = reg.HistogramVec("ctxres_request_seconds", "Daemon request latency by operation.", "op", nil)
-	t.inflight = reg.Gauge("ctxres_inflight_requests", "Requests currently being handled.")
-	t.errcodes = reg.CounterVec("ctxres_request_errors_total", "Failed responses by error code.", "code")
-	t.pushes = reg.Histogram("ctxres_push_seconds",
+	s.pushes = reg.Histogram("ctxres_push_seconds",
 		"Push delivery latency from event enqueue to frame written.", nil)
-	return t
-}
-
-// pushDone observes one delivered push's queue-to-wire latency.
-func (t *serverTelemetry) pushDone(enq time.Time) {
-	if !t.on || enq.IsZero() {
-		return
-	}
-	t.pushes.ObserveDuration(time.Since(enq))
-}
-
-func (t *serverTelemetry) now() time.Time {
-	if !t.on {
-		return time.Time{}
-	}
-	return time.Now()
-}
-
-// requestDone observes one finished request: latency by op, and the
-// error code when the response reports a failure. A request that ran
-// under a sampled trace (the response echoes its ID) attaches the trace
-// ID as the latency bucket's exemplar.
-func (t *serverTelemetry) requestDone(op string, start time.Time, resp Response) {
-	if start.IsZero() {
-		return
-	}
-	if resp.TraceID != "" {
-		t.requests.With(op).ObserveDurationExemplar(time.Since(start), resp.TraceID)
-	} else {
-		t.requests.With(op).ObserveDuration(time.Since(start))
-	}
-	if !resp.OK {
-		t.errcodes.With(string(resp.Code)).Inc()
-	}
-}
-
-// registerTelemetryFuncs installs the scrape-time callbacks: the
-// transport counters stay owned by serverCounters (one set of atomics,
-// no double bookkeeping) and are read at scrape time, as are uptime,
-// open connections, pool size, and the strategy's Σ size.
-func (s *Server) registerTelemetryFuncs(reg *telemetry.Registry) {
-	if reg == nil {
-		return
-	}
 	c := &s.counters
-	mirror := func(name, help string, v *atomic.Int64) {
-		reg.CounterFunc(name, help, func() float64 { return float64(v.Load()) })
-	}
-	mirror("ctxres_conns_accepted_total", "Connections admitted to serving.", &c.accepted)
-	mirror("ctxres_accept_retries_total", "Temporary Accept errors survived via backoff.", &c.acceptRetries)
-	mirror("ctxres_conns_rejected_full_total", "Connections turned away over the max-conns cap.", &c.rejectedFull)
-	mirror("ctxres_requests_total", "Request lines read, including malformed ones.", &c.requests)
-	mirror("ctxres_bad_requests_total", "Unparseable request lines.", &c.badRequests)
-	mirror("ctxres_frames_too_long_total", "Request lines over the line-length cap.", &c.framesTooLong)
-	mirror("ctxres_idle_closed_total", "Connections reaped by the idle deadline.", &c.idleClosed)
-	mirror("ctxres_read_errors_total", "Connections dropped on transport read errors.", &c.readErrors)
-	mirror("ctxres_maintenance_errors_total", "Failed periodic checkpoints and compactions.", &c.maintErrors)
-	mirror("ctxres_pushes_delivered_total", "Situation event frames pushed to subscribers.", &c.pushesDelivered)
-	mirror("ctxres_pushes_dropped_total", "Situation events lost to slow-consumer shedding.", &c.pushesDropped)
-	mirror("ctxres_subscribers_shed_total", "Subscriber connections shed as lagged.", &c.subscribersShed)
+	mirrorCounter(reg, "ctxres_maintenance_errors_total", "Failed periodic checkpoints and compactions.", &c.maintErrors)
+	mirrorCounter(reg, "ctxres_pushes_delivered_total", "Situation event frames pushed to subscribers.", &c.pushesDelivered)
+	mirrorCounter(reg, "ctxres_pushes_dropped_total", "Situation events lost to slow-consumer shedding.", &c.pushesDropped)
+	mirrorCounter(reg, "ctxres_subscribers_shed_total", "Subscriber connections shed as lagged.", &c.subscribersShed)
 	reg.GaugeFunc("ctxres_subscribers", "Currently registered situation subscriptions.",
 		func() float64 { return float64(s.hub.size()) })
-	reg.GaugeFunc("ctxres_uptime_seconds", "Seconds since the server started serving.",
-		func() float64 { return time.Since(s.start).Seconds() })
-	reg.GaugeFunc("ctxres_open_connections", "Connections currently tracked by the server.",
-		func() float64 {
-			s.mu.Lock()
-			n := len(s.conns)
-			s.mu.Unlock()
-			return float64(n)
-		})
 	reg.GaugeFunc("ctxres_pool_contexts", "Contexts held in the repository pool (any state).",
 		func() float64 { return float64(s.mw.Pool().Len()) })
 	reg.GaugeFunc("ctxres_sigma_size", "Tracked inconsistency set size (Σ) of the resolution strategy.",

@@ -1,7 +1,6 @@
 package daemon
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
@@ -18,6 +17,7 @@ import (
 	"ctxres/internal/middleware"
 	"ctxres/internal/situation"
 	"ctxres/internal/strategy"
+	"ctxres/internal/testutil/leakcheck"
 )
 
 // startWireServer brings up a server identical to startServer's but
@@ -44,16 +44,19 @@ func startWireServer(t *testing.T) *Server {
 // rawConn speaks the protocol directly, returning raw response payload
 // bytes so tests can compare formats at the byte level.
 type rawConn struct {
-	t      *testing.T
-	conn   net.Conn
-	br     *bufio.Reader
-	buf    []byte
-	binary bool
+	t    *testing.T
+	conn *Conn
 }
 
 func dialRaw(t *testing.T, srv *Server, format string) *rawConn {
 	t.Helper()
-	conn, err := net.Dial("tcp", srv.Addr().String())
+	return dialRawAddr(t, srv.Addr().String(), format)
+}
+
+// dialRawAddr is dialRaw against any front door speaking the protocol.
+func dialRawAddr(t *testing.T, addr, format string) *rawConn {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +64,7 @@ func dialRaw(t *testing.T, srv *Server, format string) *rawConn {
 	if err := SetConnDeadline(conn, 10*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	rc := &rawConn{t: t, conn: conn, br: bufio.NewReader(conn)}
+	rc := &rawConn{t: t, conn: NewConn(conn)}
 	// Both formats negotiate explicitly (the handshake itself travels as
 	// line JSON; only after a binary ack do both sides speak frames), so
 	// differential runs see identical request sequences.
@@ -73,7 +76,7 @@ func dialRaw(t *testing.T, srv *Server, format string) *rawConn {
 	if !resp.OK || resp.Format != format {
 		t.Fatalf("hello ack = %s", ack)
 	}
-	rc.binary = format == FormatBinary
+	rc.conn.SetFormat(format)
 	return rc
 }
 
@@ -84,18 +87,8 @@ func (rc *rawConn) send(req Request) {
 	if err != nil {
 		rc.t.Fatal(err)
 	}
-	if rc.binary {
-		framed, err := appendBinFrame(nil, payload)
-		if err != nil {
-			rc.t.Fatal(err)
-		}
-		if _, err := rc.conn.Write(framed); err != nil {
-			rc.t.Fatalf("write frame: %v", err)
-		}
-	} else {
-		if _, err := rc.conn.Write(append(payload, '\n')); err != nil {
-			rc.t.Fatalf("write line: %v", err)
-		}
+	if err := rc.conn.WriteFrame(payload, 0); err != nil {
+		rc.t.Fatalf("write frame: %v", err)
 	}
 }
 
@@ -103,13 +96,7 @@ func (rc *rawConn) send(req Request) {
 // with any framing stripped) — a response or a pushed event frame.
 func (rc *rawConn) readFrame() []byte {
 	rc.t.Helper()
-	var body []byte
-	var err error
-	if rc.binary {
-		body, err = readBinFrame(rc.br, &rc.buf)
-	} else {
-		body, err = readLine(rc.br, MaxLineBytes, &rc.buf)
-	}
+	body, err := rc.conn.ReadFrame()
 	if err != nil {
 		rc.t.Fatalf("read frame: %v", err)
 	}
@@ -120,6 +107,16 @@ func (rc *rawConn) readFrame() []byte {
 func (rc *rawConn) exchange(req Request) []byte {
 	rc.t.Helper()
 	rc.send(req)
+	return rc.readFrame()
+}
+
+// exchangeRaw sends an arbitrary payload as one frame and returns the raw
+// response payload.
+func (rc *rawConn) exchangeRaw(payload []byte) []byte {
+	rc.t.Helper()
+	if err := rc.conn.WriteFrame(payload, 0); err != nil {
+		rc.t.Fatalf("write frame: %v", err)
+	}
 	return rc.readFrame()
 }
 
@@ -192,6 +189,34 @@ func TestWireFormatsDifferential(t *testing.T) {
 		if req.TraceID != "" && bytes.Contains(fromJSON, []byte("traceId")) {
 			t.Errorf("step %d (%s): untraced server echoed trace fields: %s",
 				i, req.Op, fromJSON)
+		}
+	}
+
+	// Third column, via a shard router: where the answer does not depend
+	// on routing, the gateway's bytes must be a direct daemon's, in both
+	// formats — both are answered by the one serving loop.
+	routerAddr, _ := RouterFront(t, startWireServer(t).Addr().String())
+	for format, direct := range map[string]*rawConn{FormatJSON: jsonConn, FormatBinary: binConn} {
+		routed := dialRawAddr(t, routerAddr, format)
+		for _, payload := range []string{
+			`{"op":"ping"}`,
+			`{"op":"hello","format":"` + format + `"}`, // the format ack
+			`{"op":"hello","format":"carrier-pigeon"}`,
+			`{"op":"hello","role":"stowaway"}`,
+			`{"op":"bogus"}`,
+			`this is not json`,
+		} {
+			fromDirect := direct.exchangeRaw([]byte(payload))
+			fromRouter := routed.exchangeRaw([]byte(payload))
+			if !bytes.Equal(fromDirect, fromRouter) {
+				t.Errorf("%s via router (%s): payloads differ\n direct: %s\n router: %s",
+					payload, format, fromDirect, fromRouter)
+			}
+		}
+		// Replication is the one op the gateway refuses in its own words.
+		const refusal = `{"ok":false,"error":"the router does not serve replication; connect to a shard daemon","code":"bad-request"}`
+		if got := routed.exchange(Request{Op: OpReplicate}); string(got) != refusal {
+			t.Errorf("replicate via router (%s) = %s, want %s", format, got, refusal)
 		}
 	}
 
@@ -322,7 +347,7 @@ func TestHelloNegotiation(t *testing.T) {
 	if !resp.OK || resp.Format != FormatBinary {
 		t.Fatalf("binary hello = %+v", resp)
 	}
-	rc.binary = true
+	rc.conn.SetFormat(FormatBinary)
 	if err := json.Unmarshal(rc.exchange(Request{Op: OpPing}), &resp); err != nil || !resp.OK {
 		t.Fatalf("binary ping: %+v, %v", resp, err)
 	}
@@ -561,36 +586,70 @@ func TestChaosBinaryClients(t *testing.T) {
 	}
 }
 
+// frontDoor is one address under test: the daemon itself, or a shard
+// router in front of a daemon. Every connection-hardening case runs
+// against both, since both are served by the one loop.
+type frontDoor struct {
+	name  string
+	addr  string
+	stats func() ServerStats
+}
+
+// RouterFront starts a shard router (serving with opts) in front of one
+// shard daemon and reports its address and transport counters.
+// internal/cluster imports this package, so only the external test
+// package can link it; routerfront_test.go installs it.
+var RouterFront func(t *testing.T, shard string, opts ...Option) (addr string, stats func() ServerStats)
+
+// frontDoors starts a daemon serving with opts, and a router serving with
+// the same opts in front of a second, default-tuned daemon.
+func frontDoors(t *testing.T, opts ...Option) []frontDoor {
+	t.Helper()
+	// Registered before the shutdown cleanups, so it runs last.
+	t.Cleanup(leakcheck.Check(t))
+	srv := startWireServerWith(t, opts...)
+	addr, stats := RouterFront(t, startWireServer(t).Addr().String(), opts...)
+	return []frontDoor{
+		{"daemon", srv.Addr().String(), srv.Stats},
+		{"router", addr, stats},
+	}
+}
+
 // TestCorruptFrameGetsTypedError flips a payload byte after framing; the
 // server must answer with a bad-request error and close, never hand the
 // corrupt payload to the middleware.
 func TestCorruptFrameGetsTypedError(t *testing.T) {
-	srv := startWireServer(t)
-	rc := dialRaw(t, srv, FormatBinary)
+	for _, fd := range frontDoors(t) {
+		t.Run(fd.name, func(t *testing.T) {
+			rc := dialRawAddr(t, fd.addr, FormatBinary)
 
-	payload, _ := json.Marshal(Request{Op: OpPing})
-	framed, err := appendBinFrame(nil, payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	framed[len(framed)-1] ^= 0x40 // corrupt inside the payload
-	if _, err := rc.conn.Write(framed); err != nil {
-		t.Fatal(err)
-	}
-	body, err := readBinFrame(rc.br, &rc.buf)
-	if err != nil {
-		t.Fatalf("read error response: %v", err)
-	}
-	var resp Response
-	if err := json.Unmarshal(body, &resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.OK || resp.Code != CodeBadRequest {
-		t.Fatalf("corrupt frame response = %+v, want %s", resp, CodeBadRequest)
-	}
-	// The stream is untrusted after corruption: the server closes it.
-	if _, err := readBinFrame(rc.br, &rc.buf); err == nil {
-		t.Fatal("connection still open after corrupt frame")
+			// Frame a ping, then corrupt a byte inside the payload.
+			framer, wire := binaryConnOver(nil)
+			payload, _ := json.Marshal(Request{Op: OpPing})
+			if err := framer.WriteFrame(payload, 0); err != nil {
+				t.Fatal(err)
+			}
+			framed := wire.w.Bytes()
+			framed[len(framed)-1] ^= 0x40
+			if _, err := rc.conn.Write(framed); err != nil {
+				t.Fatal(err)
+			}
+			body, err := rc.conn.ReadFrame()
+			if err != nil {
+				t.Fatalf("read error response: %v", err)
+			}
+			var resp Response
+			if err := json.Unmarshal(body, &resp); err != nil {
+				t.Fatal(err)
+			}
+			if resp.OK || resp.Code != CodeBadRequest {
+				t.Fatalf("corrupt frame response = %+v, want %s", resp, CodeBadRequest)
+			}
+			// The stream is untrusted after corruption: the server closes it.
+			if _, err := rc.conn.ReadFrame(); err == nil {
+				t.Fatal("connection still open after corrupt frame")
+			}
+		})
 	}
 }
 
@@ -599,30 +658,33 @@ func TestCorruptFrameGetsTypedError(t *testing.T) {
 // typed frame-too-long error without the server reading (or allocating)
 // the body.
 func TestOversizedBinaryFrameGetsProtocolError(t *testing.T) {
-	srv := startWireServer(t)
-	rc := dialRaw(t, srv, FormatBinary)
+	for _, fd := range frontDoors(t) {
+		t.Run(fd.name, func(t *testing.T) {
+			rc := dialRawAddr(t, fd.addr, FormatBinary)
 
-	hdr := make([]byte, binFrameHeaderLen)
-	hdr[0] = 0xff
-	hdr[1] = 0xff
-	hdr[2] = 0xff
-	hdr[3] = 0x7f // ~2 GiB claimed
-	if _, err := rc.conn.Write(hdr); err != nil {
-		t.Fatal(err)
-	}
-	body, err := readBinFrame(rc.br, &rc.buf)
-	if err != nil {
-		t.Fatalf("read error response: %v", err)
-	}
-	var resp Response
-	if err := json.Unmarshal(body, &resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.OK || resp.Code != CodeFrameTooLong {
-		t.Fatalf("oversized frame response = %+v, want %s", resp, CodeFrameTooLong)
-	}
-	if got := srv.Stats().FramesTooLong; got != 1 {
-		t.Fatalf("FramesTooLong = %d, want 1", got)
+			hdr := make([]byte, binFrameHeaderLen)
+			hdr[0] = 0xff
+			hdr[1] = 0xff
+			hdr[2] = 0xff
+			hdr[3] = 0x7f // ~2 GiB claimed
+			if _, err := rc.conn.Write(hdr); err != nil {
+				t.Fatal(err)
+			}
+			body, err := rc.conn.ReadFrame()
+			if err != nil {
+				t.Fatalf("read error response: %v", err)
+			}
+			var resp Response
+			if err := json.Unmarshal(body, &resp); err != nil {
+				t.Fatal(err)
+			}
+			if resp.OK || resp.Code != CodeFrameTooLong {
+				t.Fatalf("oversized frame response = %+v, want %s", resp, CodeFrameTooLong)
+			}
+			if got := fd.stats().FramesTooLong; got != 1 {
+				t.Fatalf("FramesTooLong = %d, want 1", got)
+			}
+		})
 	}
 }
 
@@ -637,27 +699,51 @@ func TestKindInterning(t *testing.T) {
 	}
 }
 
+// bufConn is a Conn's transport for tests that need no peer: reads come
+// from r, writes land in w.
+type bufConn struct {
+	net.Conn
+	r bytes.Reader
+	w bytes.Buffer
+}
+
+func (b *bufConn) Read(p []byte) (int, error)  { return b.r.Read(p) }
+func (b *bufConn) Write(p []byte) (int, error) { return b.w.Write(p) }
+
+// binaryConnOver returns a binary-format Conn reading data and writing
+// into the returned transport's buffer.
+func binaryConnOver(data []byte) (*Conn, *bufConn) {
+	wire := &bufConn{}
+	wire.r.Reset(data)
+	c := NewConn(wire)
+	c.SetFormat(FormatBinary)
+	return c, wire
+}
+
 // FuzzBinaryFrameRead feeds arbitrary bytes to the frame reader: it must
 // never panic, and any payload it accepts must checksum-verify against
 // its header.
 func FuzzBinaryFrameRead(f *testing.F) {
-	good, _ := appendBinFrame(nil, []byte(`{"op":"ping"}`))
+	framer, wire := binaryConnOver(nil)
+	if err := framer.WriteFrame([]byte(`{"op":"ping"}`), 0); err != nil {
+		f.Fatal(err)
+	}
+	good := append([]byte(nil), wire.w.Bytes()...)
 	f.Add(good)
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0})
 	truncated := good[:len(good)-3]
 	f.Add(truncated)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		br := bufio.NewReader(bytes.NewReader(data))
-		var buf []byte
-		payload, err := readBinFrame(br, &buf)
+		c, wire := binaryConnOver(data)
+		payload, err := c.ReadFrame()
 		if err != nil {
 			return
 		}
-		reframed, ferr := appendBinFrame(nil, payload)
-		if ferr != nil {
+		if ferr := c.WriteFrame(payload, 0); ferr != nil {
 			t.Fatalf("accepted payload does not reframe: %v", ferr)
 		}
+		reframed := wire.w.Bytes()
 		if !bytes.Equal(reframed, data[:len(reframed)]) {
 			t.Fatalf("accepted frame is not canonical: %x vs %x", reframed, data[:len(reframed)])
 		}
@@ -674,13 +760,12 @@ func FuzzBinaryFrameRoundTrip(f *testing.F) {
 		if len(payload) > MaxLineBytes {
 			t.Skip()
 		}
-		framed, err := appendBinFrame(nil, payload)
-		if err != nil {
+		framer, wire := binaryConnOver(nil)
+		if err := framer.WriteFrame(payload, 0); err != nil {
 			t.Fatal(err)
 		}
-		br := bufio.NewReader(bytes.NewReader(framed))
-		var buf []byte
-		got, err := readBinFrame(br, &buf)
+		c, _ := binaryConnOver(wire.w.Bytes())
+		got, err := c.ReadFrame()
 		if err != nil {
 			t.Fatalf("decode framed payload: %v", err)
 		}
@@ -706,10 +791,7 @@ func FuzzBatchSubmitDecode(f *testing.F) {
 		}
 		req.Op = OpBatchSubmit
 		internRequest(&req)
-		s := &Server{
-			mw:    middleware.New(constraint.NewChecker(), strategy.NewDropBad()),
-			start: time.Now(),
-		}
+		s := &Server{Loop: &Loop{}, mw: middleware.New(constraint.NewChecker(), strategy.NewDropBad())}
 		resp := s.handle(req)
 		if resp.OK && len(resp.Results) != len(req.Contexts) {
 			t.Fatalf("results = %d, contexts = %d", len(resp.Results), len(req.Contexts))
@@ -719,7 +801,8 @@ func FuzzBatchSubmitDecode(f *testing.F) {
 			t.Fatalf("response does not marshal: %v", err)
 		}
 		if len(payload) <= MaxLineBytes {
-			if _, err := appendBinFrame(nil, payload); err != nil {
+			framer, _ := binaryConnOver(nil)
+			if err := framer.WriteFrame(payload, 0); err != nil {
 				t.Fatalf("response does not frame: %v", err)
 			}
 		}

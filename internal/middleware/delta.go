@@ -33,11 +33,6 @@ type Delta struct {
 // methods (pool reads are fine — the pool has its own lock).
 type DeltaHook func(d Delta)
 
-// WithDeltaHook installs a delta hook at construction time.
-func WithDeltaHook(h DeltaHook) Option {
-	return func(m *Middleware) { m.deltaHook = h }
-}
-
 // SetDeltaHook installs, replaces, or (with nil) removes the delta hook.
 // The swap takes the middleware lock, so it serializes with in-flight
 // operations: once SetDeltaHook(nil) returns, the old hook will not fire

@@ -97,8 +97,10 @@ func writeHistogram(w *bufio.Writer, f *family, value string, h *Histogram) erro
 		formatFloat(math.Float64frombits(h.sumBits.Load()))); err != nil {
 		return err
 	}
+	// _count is the cumulative total just written as the +Inf bucket, so
+	// a scrape racing Observe still emits a self-consistent histogram.
 	_, err := fmt.Fprintf(w, "%s_count%s %d\n",
-		f.name, labelPart(f.label, value, ""), h.count.Load())
+		f.name, labelPart(f.label, value, ""), cum)
 	return err
 }
 

@@ -9,8 +9,10 @@ import (
 
 // Histogram is a fixed-bucket latency histogram. Buckets are defined by
 // their upper bounds in seconds; a final implicit +Inf bucket catches the
-// tail. Observations are two atomic adds plus a binary search over the
-// bounds — no locks, no allocation. Safe on a nil receiver.
+// tail. Observations are one atomic add plus a binary search over the
+// bounds — no locks, no allocation. Safe on a nil receiver. The
+// observation count is the sum of the buckets: a reader that wants count
+// and buckets to agree derives one from the other in a single pass.
 //
 // The default bucket scheme (DefaultTimeBuckets) is logarithmic, doubling
 // from 1µs to ~16.8s (26 buckets including +Inf): latency distributions
@@ -21,7 +23,6 @@ import (
 type Histogram struct {
 	bounds  []float64 // sorted upper bounds, seconds
 	counts  []atomic.Uint64
-	count   atomic.Uint64
 	sumBits atomic.Uint64 // float64 bits of the observation sum
 	maxBits atomic.Uint64 // float64 bits of the largest observation
 
@@ -68,7 +69,6 @@ func (h *Histogram) Observe(v float64) {
 	}
 	i := sort.SearchFloat64s(h.bounds, v) // first bound >= v
 	h.counts[i].Add(1)
-	h.count.Add(1)
 	for {
 		old := h.sumBits.Load()
 		next := math.Float64bits(math.Float64frombits(old) + v)
@@ -118,14 +118,6 @@ func (h *Histogram) ObserveDurationExemplar(d time.Duration, traceID string) {
 	h.ObserveExemplar(d.Seconds(), traceID)
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
-
 // HistogramSummary is a JSON-friendly digest of a histogram: count, sum,
 // max (tracked exactly), and quantiles interpolated from the buckets.
 type HistogramSummary struct {
@@ -151,7 +143,7 @@ func (h *Histogram) Summary() HistogramSummary {
 		total += counts[i]
 	}
 	s := HistogramSummary{
-		Count: h.count.Load(),
+		Count: total,
 		Sum:   math.Float64frombits(h.sumBits.Load()),
 		Max:   math.Float64frombits(h.maxBits.Load()),
 	}

@@ -217,6 +217,17 @@ if [[ -z "$failovers" ]]; then
     exit 1
 fi
 echo "smoke: router failed over ($failovers recorded)"
+# The router is served by the same connection loop as a daemon, so the
+# scrape just polled must be a valid exposition carrying the loop's
+# transport and per-op request instruments.
+go run ./scripts/promcheck <"$workdir/router-metrics.txt"
+for metric in ctxres_requests_total 'ctxres_request_seconds_count{op="use-latest"}'; do
+    if ! grep -qF "$metric " "$workdir/router-metrics.txt"; then
+        echo "smoke: router /metrics missing $metric"
+        cat "$workdir/router-metrics.txt"
+        exit 1
+    fi
+done
 
 # Tracing leg: a traced conflicting submission through a mirroring router
 # backed by a journaled shard with a replicating follower must come back
