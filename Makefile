@@ -46,26 +46,18 @@ loc:
 soak:
 	CTXRES_SOAK=$(SOAKTIME) $(GO) test -race -v -run 'TestSoak' -timeout 30m ./internal/soak
 
-# bench regenerates BENCH_9.json, the machine-readable perf trajectory:
-# Figure 9/10 wall-clock, telemetry and distributed-tracing overhead on
-# the same workloads, the daemon's per-stage latency histograms after a
-# real TCP run, and the open-loop wire/commit load generator (both wire
-# formats, batch sizes, and group commit, all at fsync=always).
-# scripts/benchcheck -full enforces the report schema, the 2x
-# group-commit speedup floor, and the <5% tracing-overhead ceiling.
+# bench runs the repository's one benchmark harness (bench/, described by
+# BENCHMARK.json; see bench/README.md for the run shape and flags) after
+# the root package's Go microbenchmarks.
 bench:
 	$(GO) test -bench=. -benchmem -run='^$$' .
-	$(GO) run ./cmd/ctxbench -perf BENCH_9.json -groups 2
-	$(GO) run ./scripts/benchcheck -full BENCH_9.json
+	$(GO) run -C bench .
 
-# bench-smoke is the CI-sized slice of `make bench`: the load generator
-# runs for well under a minute across both wire formats, and benchcheck
-# validates the report schema (throughput and latency fields present and
-# plausible) without the slow figure phases or the speedup floor.
+# bench-smoke is the CI-sized slice of `make bench`: the same five
+# workloads at a twentieth of their budget (~12 s), teardown checks
+# included.
 bench-smoke:
-	$(GO) run ./cmd/ctxbench -perf BENCH_smoke.json -loadgen-only -loadgen-dur 600ms
-	$(GO) run ./scripts/benchcheck BENCH_smoke.json
-	rm -f BENCH_smoke.json
+	$(GO) run -C bench . -scale 0.05
 
 # smoke boots real ctxmwd processes: /metrics scrape, pushed
 # subscription, router round-trip, leader kill-and-promote, a

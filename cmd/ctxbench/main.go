@@ -24,7 +24,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"time"
 
 	"ctxres/internal/constraint"
 	"ctxres/internal/experiment"
@@ -52,14 +51,6 @@ func run(args []string, out io.Writer) error {
 			"(<=1 serial, -1 = GOMAXPROCS)")
 		strats = fs.String("strategies", "", "comma-separated strategy list for the figures "+
 			"(default: the paper's four; try OPT-R,D-BAD,D-BAD+I,D-LAT,D-ALL,D-RAND,P-OLD)")
-		perf = fs.String("perf", "", "run the perf suite (figure wall-clock, telemetry overhead, "+
-			"daemon stage histograms, wire/commit load generator) and write the JSON report to this file")
-		loadgenDur = fs.Duration("loadgen-dur", 1500*time.Millisecond,
-			"per-phase budget for the -perf load generator (capacity probe and each open-loop point)")
-		loadgenOnly = fs.Bool("loadgen-only", false,
-			"with -perf: run only the load generator (fast CI smoke)")
-		wireFormat = fs.String("wire-format", "both",
-			"wire formats the load generator measures: json, binary, or both")
 		version = fs.Bool("version", false, "print build information and exit")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -69,26 +60,9 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprintln(out, telemetry.VersionString("ctxbench"))
 		return nil
 	}
-	switch *wireFormat {
-	case "json", "binary", "both":
-	default:
-		return fmt.Errorf("-wire-format must be json, binary, or both, got %q", *wireFormat)
-	}
-	if *loadgenDur <= 0 {
-		return fmt.Errorf("-loadgen-dur must be > 0, got %v", *loadgenDur)
-	}
-	if *perf != "" {
-		return runPerf(out, *perf, perfOptions{
-			groups:      min(*groups, 4),
-			seed:        *seed,
-			loadgenDur:  *loadgenDur,
-			loadgenOnly: *loadgenOnly,
-			wireFormat:  *wireFormat,
-		})
-	}
 	if !*all && *fig == 0 && !*caseStudy && !*ablation {
 		fs.Usage()
-		return fmt.Errorf("nothing to do: pass -fig 9, -fig 10, -casestudy, -ablation, -perf FILE or -all")
+		return fmt.Errorf("nothing to do: pass -fig 9, -fig 10, -casestudy, -ablation or -all")
 	}
 
 	cfg := experiment.DefaultFigureConfig()

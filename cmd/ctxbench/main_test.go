@@ -50,26 +50,6 @@ func TestRunCSVOutput(t *testing.T) {
 	}
 }
 
-// TestMeasurePush exercises the perf suite's push-latency point directly:
-// every toggle must round-trip submit → activation → push, and both the
-// client-side percentiles and the server-side push histogram must be
-// populated.
-func TestMeasurePush(t *testing.T) {
-	if testing.Short() {
-		t.Skip("slow")
-	}
-	pp, err := measurePush()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pp.Toggles == 0 || pp.EndToEndP50Ms <= 0 || pp.EndToEndP99Ms < pp.EndToEndP50Ms {
-		t.Fatalf("implausible push point: %+v", pp)
-	}
-	if pp.ServerPush.Count == 0 {
-		t.Fatalf("server push histogram empty: %+v", pp)
-	}
-}
-
 func TestRunBadFlag(t *testing.T) {
 	var out strings.Builder
 	if err := run([]string{"-nope"}, &out); err == nil {

@@ -604,3 +604,102 @@ func TestSetupServeFlagsReachEveryRole(t *testing.T) {
 		})
 	}
 }
+
+// TestPromotedFollowerServesLeaderOps pins that promotion switches the ops
+// endpoint too: a follower started with -metrics-addr answers /statusz
+// with the leader's sections and role promoted-leader once promoted, and
+// its /healthz is the promoted server's Health — green while the journal
+// is fine, 503 once a periodic checkpoint fails (the data directory is
+// removed under it).
+func TestPromotedFollowerServesLeaderOps(t *testing.T) {
+	leader, err := setup([]string{"-addr", "127.0.0.1:0", "-data-dir", t.TempDir(),
+		"-fsync", "always", "-snapshot-interval", "0", "-compact-interval", "0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer leader.stop()
+	followerDir := t.TempDir()
+	follower, err := setup([]string{"-addr", "127.0.0.1:0", "-metrics-addr", "127.0.0.1:0",
+		"-follow", leader.srv.Addr().String(), "-data-dir", followerDir, "-lease-ttl", "30s",
+		"-snapshot-interval", "50ms", "-compact-interval", "0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer follower.stop()
+
+	base := "http://" + follower.ops.Addr().String()
+	get := func(path string) (int, string) {
+		resp, err := http.Get(base + path)
+		if err != nil {
+			t.Fatalf("GET %s: %v", path, err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, string(body)
+	}
+	statusz := func() map[string]any {
+		code, body := get("/statusz")
+		if code != http.StatusOK {
+			t.Fatalf("/statusz = %d", code)
+		}
+		var m map[string]any
+		if err := json.Unmarshal([]byte(body), &m); err != nil {
+			t.Fatalf("statusz not JSON: %v\n%s", err, body)
+		}
+		return m
+	}
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(20 * time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+		}
+	}
+
+	client, err := daemon.Dial(leader.srv.Addr().String(), 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := ctx.NewLocation("peter", time.Date(2008, 6, 17, 9, 0, 0, 0, time.UTC), ctx.Point{X: 1},
+		ctx.WithSeq(1), ctx.WithSource("s"))
+	if _, err := client.Submit(c); err != nil {
+		t.Fatal(err)
+	}
+	client.Close()
+	waitFor("the follower to replicate the submission", func() bool {
+		m := statusz()
+		return m["role"] == "follower" && m["lastSeq"] != float64(0) && m["lagRecords"] == float64(0)
+	})
+
+	if err := follower.promote(); err != nil {
+		t.Fatal(err)
+	}
+	if code, body := get("/healthz"); code != http.StatusOK {
+		t.Fatalf("promoted /healthz = %d %q", code, body)
+	}
+	m := statusz()
+	if m["role"] != "promoted-leader" {
+		t.Fatalf("promoted role = %v, want promoted-leader", m["role"])
+	}
+	for _, key := range []string{"middleware", "daemon", "replication", "epoch", "lease",
+		"poolContexts", "sigmaSize", "provenance"} {
+		if _, ok := m[key]; !ok {
+			t.Errorf("promoted /statusz lacks %q", key)
+		}
+	}
+	if m["poolContexts"] != float64(1) {
+		t.Errorf("promoted poolContexts = %v, want the replicated context", m["poolContexts"])
+	}
+
+	if err := os.RemoveAll(followerDir); err != nil {
+		t.Fatal(err)
+	}
+	waitFor("/healthz to report the failed checkpoint", func() bool {
+		code, _ := get("/healthz")
+		return code == http.StatusServiceUnavailable
+	})
+}

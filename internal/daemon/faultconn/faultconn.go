@@ -103,7 +103,6 @@ type Conn struct {
 	mu          sync.Mutex
 	readBudget  int // -1 = unlimited
 	writeBudget int // -1 = unlimited
-	readStall   time.Duration
 	writeStall  time.Duration
 	jitter      *rand.Rand    // nil = no jitter
 	jitterMax   time.Duration // exclusive upper bound per operation
@@ -125,11 +124,6 @@ func CutAfterReads(n int) ConnOption {
 	return func(c *Conn) { c.readBudget = n }
 }
 
-// WithReadStall sleeps d before every read (a slow or wedged peer).
-func WithReadStall(d time.Duration) ConnOption {
-	return func(c *Conn) { c.readStall = d }
-}
-
 // WithWriteStall sleeps d before every write (responses arrive late,
 // tripping peer deadlines).
 func WithWriteStall(d time.Duration) ConnOption {
@@ -137,7 +131,7 @@ func WithWriteStall(d time.Duration) ConnOption {
 }
 
 // WithJitter delays every read and write by a pseudo-random duration in
-// [0, max), drawn from a PRNG seeded with seed. Unlike the fixed stalls,
+// [0, max), drawn from a PRNG seeded with seed. Unlike the fixed write stall,
 // jitter models a congested or wireless link where latency varies
 // per-operation; the delay sequence is a pure function of the seed and
 // the read/write call order, so a failing run reproduces from the seed.
@@ -171,15 +165,9 @@ func Wrap(conn net.Conn, opts ...ConnOption) *Conn {
 	return c
 }
 
-// Read applies the read stall and budget, closing the connection and
+// Read applies the read jitter and budget, closing the connection and
 // returning ErrInjected once the budget is exhausted.
 func (c *Conn) Read(p []byte) (int, error) {
-	c.mu.Lock()
-	stall := c.readStall
-	c.mu.Unlock()
-	if stall > 0 {
-		time.Sleep(stall)
-	}
 	if d := c.jitterDelay(); d > 0 {
 		time.Sleep(d)
 	}

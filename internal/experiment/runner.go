@@ -10,7 +10,6 @@ import (
 	"ctxres/internal/metrics"
 	"ctxres/internal/middleware"
 	"ctxres/internal/stats"
-	"ctxres/internal/telemetry"
 )
 
 // RunResult is one middleware run's raw measurements.
@@ -30,10 +29,6 @@ type RunOptions struct {
 	// must not change any measured outcome (pinned by
 	// TestParallelCheckerNoRegression).
 	Parallelism int
-	// Telemetry, when non-nil, instruments the run's middleware with the
-	// given registry (ctxbench uses this to measure telemetry overhead on
-	// the figure workloads). It does not change any measured outcome.
-	Telemetry *telemetry.Registry
 }
 
 // RunOnce replays one workload through a fresh middleware configured with
@@ -60,9 +55,6 @@ func RunOnceOpts(spec AppSpec, w Workload, name StrategyName, rng *rand.Rand, op
 	if opts.Parallelism > 1 {
 		mwOpts = append(mwOpts, middleware.WithCheckerOptions(
 			middleware.CheckerOptions{Parallelism: opts.Parallelism}))
-	}
-	if opts.Telemetry != nil {
-		mwOpts = append(mwOpts, middleware.WithTelemetry(opts.Telemetry))
 	}
 	m := middleware.New(spec.NewChecker(), strat, mwOpts...)
 

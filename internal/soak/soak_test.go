@@ -223,12 +223,14 @@ func TestSoakStorm(t *testing.T) {
 		}(i)
 	}
 
-	// Flapping source: its first submissions are corrupted with large
-	// location jumps, so consecutive readings violate the velocity bound
-	// and the breaker trips; afterwards it submits clean readings forever
-	// and must recover through half-open probing. Zero TTL keeps its
-	// latest reading checkable for the next velocity pair; each accepted
-	// submission retires the previous one.
+	// Flapping source: its submissions are corrupted with large location
+	// jumps until 12 of them have landed (admission sheds most attempts
+	// under the storm, and a shed attempt never reaches a check), so
+	// consecutive readings violate the velocity bound and the breaker
+	// trips; afterwards it submits clean readings forever and must recover
+	// through half-open probing. Zero TTL keeps its latest reading
+	// checkable for the next velocity pair; each accepted submission
+	// retires the previous one.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -244,20 +246,21 @@ func TestSoakStorm(t *testing.T) {
 			return
 		}
 		inj.Register(ctx.KindLocation, errmodel.LocationJump(200, 400))
-		var seq uint64
+		var seq, landed uint64
 		var prev ctx.ID
 		for !stopped() {
 			seq++
 			c := ctx.NewLocation("flappy", stamp(), ctx.Point{X: float64(seq)},
 				ctx.WithID(ctx.ID(fmt.Sprintf("f-%d", seq))),
 				ctx.WithSeq(seq), ctx.WithSource("flapper"))
-			if seq <= 12 {
+			if landed < 12 {
 				inj.Apply(c)
 			}
 			ct.submitted.Add(1)
 			_, err := client.Submit(c)
 			ct.classify(err)
 			if err == nil {
+				landed++
 				ct.accepted.Add(1)
 				if prev != "" {
 					_, _ = client.Use(prev) // may be discarded or swept; both fine

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Smoke test: boot a real ctxmwd with an ops endpoint, scrape /metrics
 # and /healthz over HTTP, fail on malformed Prometheus exposition output
-# (validated by scripts/promcheck), then run the clustering legs: a
+# (validated by `smoke promcheck`), then run the clustering legs: a
 # 2-shard router round-trip, a leader/follower kill-and-promote, a
 # self-fenced stale leader shedding writes, and a failover-aware router
 # re-pointing a replica set at its promoted member.
@@ -34,7 +34,10 @@ wait_line() {
     return 1
 }
 
+# Build the daemon and the client-side helpers once; every leg below runs
+# these two binaries.
 go build -o "$workdir/ctxmwd" ./cmd/ctxmwd
+go build -o "$workdir/smoke" ./scripts/smoke
 "$workdir/ctxmwd" -addr 127.0.0.1:0 -metrics-addr 127.0.0.1:0 \
     -data-dir "$workdir/wal" -fsync always >"$log" 2>&1 &
 pid=$!
@@ -60,7 +63,7 @@ if [[ "$health" != ok* ]]; then
 fi
 
 curl -fsS "http://$maddr/metrics" >"$workdir/metrics.txt"
-go run ./scripts/promcheck <"$workdir/metrics.txt"
+"$workdir/smoke" promcheck <"$workdir/metrics.txt"
 for metric in ctxres_submits_total ctxres_uptime_seconds ctxres_requests_total; do
     if ! grep -q "^$metric " "$workdir/metrics.txt"; then
         echo "smoke: /metrics missing $metric"
@@ -81,7 +84,7 @@ if [[ -z "$daddr" ]]; then
     cat "$log"
     exit 1
 fi
-go run ./scripts/subsmoke "$daddr"
+"$workdir/smoke" subsmoke "$daddr"
 
 kill -TERM "$pid"
 wait "$pid" || { echo "smoke: ctxmwd exited nonzero on SIGTERM:"; cat "$log"; exit 1; }
@@ -101,8 +104,8 @@ s2=$(wait_line "$workdir/shard2.log" "$serving_pat")
 pids+=($!)
 raddr=$(wait_line "$workdir/router.log" 's/^ctxmwd: routing .* on \([0-9.:]*\) .*/\1/p')
 echo "smoke: router on $raddr (shards $s1 $s2)"
-go run ./scripts/clustersmoke seed "$raddr"
-go run ./scripts/clustersmoke verify "$raddr"
+"$workdir/smoke" clustersmoke seed "$raddr"
+"$workdir/smoke" clustersmoke verify "$raddr"
 
 # Cluster leg 2: journaled leader, replicating follower with
 # auto-promote. Seed the leader, wait until the follower's replication
@@ -119,7 +122,7 @@ laddr=$(wait_line "$workdir/leader.log" "$serving_pat")
 pids+=($!)
 wait_line "$workdir/follower.log" 's/^ctxmwd: following \([0-9.:]*\) .*/\1/p' >/dev/null
 fops=$(wait_line "$workdir/follower.log" 's/^ctxmwd: metrics on //p')
-go run ./scripts/clustersmoke seed "$laddr"
+"$workdir/smoke" clustersmoke seed "$laddr"
 caught_up=""
 for _ in $(seq 1 100); do
     status=$(curl -fsS "http://$fops/statusz" || true)
@@ -135,7 +138,7 @@ wait "$lpid" || { echo "smoke: leader exited nonzero on SIGTERM:"; cat "$workdir
 promoted_pat='s/^ctxmwd: promoted to leader at epoch [0-9]*, serving .* on \([0-9.:]*\)$/\1/p'
 faddr=$(wait_line "$workdir/follower.log" "$promoted_pat")
 echo "smoke: follower promoted on $faddr"
-go run ./scripts/clustersmoke verify "$laddr" "$faddr"
+"$workdir/smoke" clustersmoke verify "$laddr" "$faddr"
 
 # Fencing leg: resurrect the killed leader from its own WAL with a short
 # -lease-ttl and no followers. Nothing acks, so one TTL after boot the
@@ -146,7 +149,7 @@ go run ./scripts/clustersmoke verify "$laddr" "$faddr"
 pids+=($!)
 oaddr=$(wait_line "$workdir/oldleader.log" "$serving_pat")
 sleep 0.5 # burn the one-TTL boot grace
-go run ./scripts/clustersmoke fenced "$oaddr"
+"$workdir/smoke" clustersmoke fenced "$oaddr"
 echo "smoke: resurrected leader on $oaddr self-fenced"
 
 # Cluster leg 3: failover-aware routing. A replica-set shard
@@ -155,7 +158,7 @@ echo "smoke: resurrected leader on $oaddr self-fenced"
 # primary: the follower auto-promotes, the router's probe loop re-points
 # the shard at it, reads through the router succeed again, and the
 # router's metrics show the failover.
-fport=$(go run ./scripts/freeport)
+fport=$("$workdir/smoke" freeport)
 "$workdir/ctxmwd" -addr 127.0.0.1:0 -data-dir "$workdir/rleader-wal" \
     >"$workdir/rleader.log" 2>&1 &
 rlpid=$!
@@ -172,7 +175,7 @@ pids+=($!)
 fraddr=$(wait_line "$workdir/frouter.log" 's/^ctxmwd: routing .* on \([0-9.:]*\) .*/\1/p')
 frops=$(wait_line "$workdir/frouter.log" 's/^ctxmwd: metrics on //p')
 echo "smoke: failover router on $fraddr (replica set $rladdr|$fport)"
-go run ./scripts/clustersmoke seed "$fraddr"
+"$workdir/smoke" clustersmoke seed "$fraddr"
 caught_up=""
 for _ in $(seq 1 100); do
     status=$(curl -fsS "http://$rfops/statusz" || true)
@@ -188,7 +191,7 @@ wait "$rlpid" || { echo "smoke: primary exited nonzero on SIGTERM:"; cat "$workd
 wait_line "$workdir/rfollower.log" "$promoted_pat" >/dev/null
 routed=""
 for _ in $(seq 1 100); do
-    if go run ./scripts/clustersmoke verify "$fraddr" >/dev/null 2>&1; then
+    if "$workdir/smoke" clustersmoke verify "$fraddr" >/dev/null 2>&1; then
         routed=yes
         break
     fi
@@ -199,7 +202,7 @@ done
     cat "$workdir/frouter.log"
     exit 1
 }
-go run ./scripts/clustersmoke verify "$fraddr"
+"$workdir/smoke" clustersmoke verify "$fraddr"
 # The verify above can succeed through the shard client's own dial
 # fallback before the probe loop's first counted re-point, so poll the
 # failover counter rather than reading it once.
@@ -220,7 +223,7 @@ echo "smoke: router failed over ($failovers recorded)"
 # The router is served by the same connection loop as a daemon, so the
 # scrape just polled must be a valid exposition carrying the loop's
 # transport and per-op request instruments.
-go run ./scripts/promcheck <"$workdir/router-metrics.txt"
+"$workdir/smoke" promcheck <"$workdir/router-metrics.txt"
 for metric in ctxres_requests_total 'ctxres_request_seconds_count{op="use-latest"}'; do
     if ! grep -qF "$metric " "$workdir/router-metrics.txt"; then
         echo "smoke: router /metrics missing $metric"
@@ -252,7 +255,7 @@ tpids+=($!)
 tfops=$(wait_line "$workdir/tfollower.log" 's/^ctxmwd: metrics on //p')
 echo "smoke: traced router on $traddr (shards $ts1 $ts2)"
 
-tid=$(go run ./scripts/tracesmoke "$traddr" "$ts1" "$ts2")
+tid=$("$workdir/smoke" tracesmoke "$traddr" "$ts1" "$ts2")
 echo "smoke: traced submission $tid"
 
 caught_up=""
