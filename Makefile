@@ -1,9 +1,9 @@
 # Development targets for ctxres. `make` (or `make check`) is the default
-# gate: vet + build + full test suite + race-mode run of the packages with
-# real concurrency (the parallel checker and the middleware around it) +
-# vet and unit tests of the nested benchmark module, which imports
-# internal/... and so breaks on internal-API changes that tier-1 alone
-# would not notice.
+# gate: gofmt + vet + build + full test suite + race-mode run of the
+# packages with real concurrency (the parallel checker and the middleware
+# around it) + vet and unit tests of the nested benchmark module, which
+# imports internal/... and so breaks on internal-API changes that tier-1
+# alone would not notice.
 
 GO ?= go
 FUZZTIME ?= 30s
@@ -11,9 +11,13 @@ SOAKTIME ?= 3m
 
 .DEFAULT_GOAL := check
 
-.PHONY: check build test race bench-module loc bench bench-smoke vet cover fuzz-smoke smoke soak
+.PHONY: check fmt build test race bench-module loc bench bench-smoke vet cover fuzz-smoke smoke soak
 
-check: vet build test race bench-module
+check: fmt vet build test race bench-module
+
+# fmt fails when gofmt would change a file, and names it.
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 
 build:
 	$(GO) build ./...
@@ -74,8 +78,11 @@ cover:
 
 # Short deterministic-budget fuzz pass over every fuzz target: the
 # constraint parser/evaluator, the WAL frame and segment scanners, the
-# trace reader shared with `ctxwal dump`, and the daemon's binary wire
-# framing and batch-submit decode paths.
+# trace reader shared with `ctxwal dump`, the daemon's binary wire framing
+# and batch-submit decode paths, and the pool against its scan-based model
+# (an execution there compares every view after every step, so minimizing
+# each input that reaches new coverage is capped at a second, or it would
+# take the whole budget).
 fuzz-smoke:
 	$(GO) test ./internal/constraint -run='^$$' -fuzz=FuzzParse -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/constraint -run='^$$' -fuzz=FuzzLoadConstraints -fuzztime=$(FUZZTIME)
@@ -86,3 +93,4 @@ fuzz-smoke:
 	$(GO) test ./internal/daemon -run='^$$' -fuzz=FuzzBinaryFrameRead -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/daemon -run='^$$' -fuzz=FuzzBinaryFrameRoundTrip -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/daemon -run='^$$' -fuzz=FuzzBatchSubmitDecode -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/pool -run='^$$' -fuzz=FuzzPoolModel -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s

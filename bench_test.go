@@ -25,6 +25,7 @@ import (
 	"ctxres/internal/inconsistency"
 	"ctxres/internal/landmarc"
 	"ctxres/internal/middleware"
+	"ctxres/internal/pool"
 	"ctxres/internal/simspace"
 	"ctxres/internal/strategy"
 	"ctxres/internal/telemetry"
@@ -447,4 +448,73 @@ func BenchmarkSubmit(b *testing.B) {
 		run(b, middleware.WithTelemetry(telemetry.NewRegistry()),
 			middleware.WithSpanSink(nullSink{}))
 	})
+}
+
+// benchPool returns a pool holding `resident` delivered contexts one second
+// apart, each available for `resident` seconds, and a source of the ones
+// that follow: every arrival ends the oldest one's available period.
+func benchPool(b *testing.B, resident int) (*pool.Pool, func() *ctx.Context) {
+	p := pool.New()
+	n := 0
+	next := func() *ctx.Context {
+		n++
+		return ctx.NewLocation(benchSubjects[n%len(benchSubjects)], time.Unix(int64(n), 0), ctx.Point{},
+			ctx.WithID(ctx.ID(fmt.Sprint("c", n))), ctx.WithTTL(time.Duration(resident)*time.Second))
+	}
+	for i := 0; i < resident; i++ {
+		c := next()
+		if err := p.Add(c); err != nil {
+			b.Fatal(err)
+		}
+		if err := p.MarkUsed(c.ID); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return p, next
+}
+
+var (
+	benchResidents = []int{400, 10000, 40000}
+	benchSubjects  = []string{"alice", "bob", "carol", "dave"}
+)
+
+// BenchmarkPoolSweep is the pool's share of a submit at a steady resident
+// size: one context in, a sweep that expires one, a compaction every 1 000.
+// The line is flat in the resident size.
+func BenchmarkPoolSweep(b *testing.B) {
+	for _, resident := range benchResidents {
+		b.Run(fmt.Sprint("resident=", resident), func(b *testing.B) {
+			p, next := benchPool(b, resident)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c := next()
+				if err := p.Add(c); err != nil {
+					b.Fatal(err)
+				}
+				p.SweepExpired(c.Timestamp.Add(time.Second))
+				if i%1000 == 999 {
+					p.Compact()
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkPoolUseLatest is the pool's share of a use-latest: the newest
+// available context of one of four subjects, and its delivery.
+func BenchmarkPoolUseLatest(b *testing.B) {
+	for _, resident := range benchResidents {
+		b.Run(fmt.Sprint("resident=", resident), func(b *testing.B) {
+			p, _ := benchPool(b, resident)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c := p.NewestAvailable(ctx.KindLocation, benchSubjects[i%len(benchSubjects)])
+				if c == nil || p.MarkUsed(c.ID) != nil {
+					b.Fatal("no newest context")
+				}
+			}
+		})
+	}
 }

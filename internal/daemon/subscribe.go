@@ -151,18 +151,13 @@ func (h *hub) size() int {
 	return h.count
 }
 
-// universeFor snapshots the pool's available view for the given kinds.
-// AvailableByKind returns newest-first copies; quantifiers range
-// chronologically, so each slice is reversed in place before wrapping.
+// universeFor snapshots the pool's available view for the given kinds, in
+// the chronological order quantifiers range over.
 func (h *hub) universeFor(kinds map[ctx.Kind]bool) constraint.Universe {
 	byKind := make(map[ctx.Kind][]*ctx.Context, len(kinds))
 	p := h.s.mw.Pool()
 	for k := range kinds {
-		list := p.AvailableByKind(k)
-		for i, j := 0, len(list)-1; i < j; i, j = i+1, j-1 {
-			list[i], list[j] = list[j], list[i]
-		}
-		byKind[k] = list
+		byKind[k] = p.AvailableOfKind(k)
 	}
 	return constraint.NewPresortedUniverse(byKind)
 }

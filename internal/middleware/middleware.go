@@ -486,6 +486,7 @@ func (m *Middleware) UseTrace(id ctx.ID, tr telemetry.TraceContext) (c *ctx.Cont
 	if err := m.catchUpLocked(sp); err != nil {
 		return nil, err
 	}
+	m.sweepLocked()
 	return m.useLocked(id)
 }
 
@@ -518,17 +519,15 @@ func (m *Middleware) UseLatestTrace(kind ctx.Kind, subject string, tr telemetry.
 		return nil, err
 	}
 	m.sweepLocked()
-	for _, c := range m.pool.AvailableByKind(kind) { // newest first
-		if subject != "" && c.Subject != subject {
-			continue
-		}
+	if c := m.pool.NewestAvailable(kind, subject); c != nil {
 		return m.useLocked(c.ID)
 	}
 	return nil, fmt.Errorf("use latest %s/%s: %w", kind, subject, ErrNotFound)
 }
 
+// useLocked uses a context. Its callers have swept at the current clock:
+// one sweep an operation.
 func (m *Middleware) useLocked(id ctx.ID) (*ctx.Context, error) {
-	m.sweepLocked()
 	c, ok := m.pool.Get(id)
 	if !ok {
 		return nil, fmt.Errorf("use %s: %w", id, ErrNotFound)

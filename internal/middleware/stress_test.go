@@ -77,7 +77,7 @@ func TestConcurrentSubmitUseAdvance(t *testing.T) {
 	}
 	// The pool's kind index must agree with the authoritative checking view.
 	checking := m.Pool().Checking()
-	indexed := m.Pool().CheckingOfKind(ctx.KindLocation)
+	indexed := m.Pool().CheckingUniverse().ContextsOfKind(ctx.KindLocation)
 	if len(checking) != len(indexed) {
 		t.Fatalf("kind index has %d location contexts, checking view has %d",
 			len(indexed), len(checking))

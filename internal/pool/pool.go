@@ -8,11 +8,16 @@
 //     or decided-consistent contexts that have not expired. Per Section 3.2,
 //     a context deletion change only removes a context from checking; the
 //     context remains available until its own available period passes.
+//
+// No operation on the request path visits an entry it neither changes nor
+// returns; DESIGN.md, "Pool indexes", says how.
 package pool
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -27,41 +32,88 @@ var (
 	ErrDuplicate = errors.New("context already in pool")
 )
 
+// entry is one slot of Pool.slots. Entries name each other by slot number:
+// 32 bytes a resident context, one pointer for the collector to follow.
 type entry struct {
-	c         *ctx.Context
-	used      bool
-	discarded bool
-	expired   bool
+	c          *ctx.Context
+	ord        uint64 // insertion ordinal: list order, comparable without walking
+	prev, next int32  // insertion-order ring through slot 0; next chains free slots
+	duePos     int32  // 1 + position in Pool.due; 0 when not in the heap
+	used       bool
+	discarded  bool
+	expired    bool
 }
 
 func (e *entry) inChecking() bool { return !e.used && !e.discarded && !e.expired }
 func (e *entry) available() bool  { return !e.discarded && !e.expired }
 
+// kindView is a life-cycle view: per kind, the slots of its members in
+// chronological order. ctx.Earlier is a total order, so a list maintained
+// by insertion equals the batch sort of its members.
+type kindView map[ctx.Kind][]int32
+
+func (p *Pool) viewAdd(v kindView, slot int32) {
+	c := p.slots[slot].c
+	list := v[c.Kind]
+	i := len(list)
+	if i > 0 && !ctx.Earlier(p.slots[list[i-1]].c, c) { // arrivals are mostly the newest
+		i = sort.Search(i, func(i int) bool { return ctx.Earlier(c, p.slots[list[i]].c) })
+	}
+	v[c.Kind] = slices.Insert(list, i, slot)
+}
+
+// viewRemove drops the slot by binary search; an absent one is a no-op.
+func (p *Pool) viewRemove(v kindView, slot int32) {
+	c := p.slots[slot].c
+	list := v[c.Kind]
+	i := 0
+	if len(list) > 0 && list[0] != slot { // departures are mostly the oldest
+		i = sort.Search(len(list), func(i int) bool { return !ctx.Earlier(p.slots[list[i]].c, c) })
+	}
+	if i < len(list) && list[i] == slot {
+		v[c.Kind] = cut(list, i)
+	}
+}
+
+// cut removes list[i]; the head — the oldest member, the usual one to go —
+// is stepped over rather than having the whole list shifted onto it.
+func cut(list []int32, i int) []int32 {
+	if i == 0 {
+		return list[1:]
+	}
+	return slices.Delete(list, i, i+1)
+}
+
 // Pool is a concurrency-safe context repository.
 type Pool struct {
-	mu      sync.RWMutex
-	entries map[ctx.ID]*entry
-	order   []ctx.ID // insertion order for deterministic iteration
+	mu    sync.RWMutex
+	index map[ctx.ID]int32
+	// slots[0] is the sentinel of the insertion-order ring; slots never
+	// move, released ones are reused through the free chain.
+	slots   []entry
+	free    int32
+	nextOrd uint64
 
-	// checkingByKind indexes the checking buffer by context kind, each
-	// slice kept in chronological (ctx.ByTimestamp) order. It lets
-	// checking snapshots enumerate only the kinds constraints quantify
-	// over, without scanning or re-sorting the whole buffer.
-	checkingByKind map[ctx.Kind][]*ctx.Context
+	// due is a min-heap of slots on the end of the available period
+	// (Timestamp+TTL). It holds every unexpired entry with a TTL,
+	// discarded ones too: the sweep marks those as the scan it replaced
+	// did, so expired counters and snapshots do not depend on it.
+	due []int32
+	// dead lists what Compact will release: every entry that is not available.
+	dead []int32
 
-	// counters
-	added     int
-	discarded int
-	expired   int
-	used      int
+	checking  kindView // the checking buffer: available and not used
+	avail     kindView // the available view
+	delivered []int32  // available and used, in insertion order
+
+	visited uint64 // entries a sweep popped or sifted past (tests read it)
+
+	added, discarded, expired, used int // counters
 }
 
 // New returns an empty pool.
 func New() *Pool {
-	return &Pool{
-		entries:        make(map[ctx.ID]*entry),
-		checkingByKind: make(map[ctx.Kind][]*ctx.Context),
-	}
+	return &Pool{index: make(map[ctx.ID]int32), slots: make([]entry, 1), checking: make(kindView), avail: make(kindView)}
 }
 
 // Add inserts a context. Duplicate IDs are rejected.
@@ -74,37 +126,126 @@ func (p *Pool) Add(c *ctx.Context) error {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if _, dup := p.entries[c.ID]; dup {
+	if _, dup := p.index[c.ID]; dup {
 		return fmt.Errorf("add %s: %w", c.ID, ErrDuplicate)
 	}
-	p.entries[c.ID] = &entry{c: c}
-	p.order = append(p.order, c.ID)
-	p.indexAdd(c) // new entries always start in the checking buffer
+	p.insert(entry{c: c}) // new entries always start in the checking buffer
 	p.added++
 	return nil
 }
 
-// indexAdd inserts c into its kind's index slice at the chronological
-// position (callers hold the write lock).
-func (p *Pool) indexAdd(c *ctx.Context) {
-	list := p.checkingByKind[c.Kind]
-	i := sort.Search(len(list), func(i int) bool { return ctx.Earlier(c, list[i]) })
-	list = append(list, nil)
-	copy(list[i+1:], list[i:])
-	list[i] = c
-	p.checkingByKind[c.Kind] = list
+// insert appends e to the insertion order and files it in the heap and the
+// views its flags place it in (callers hold the write lock).
+func (p *Pool) insert(e entry) {
+	i := p.free
+	if i != 0 {
+		p.free = p.slots[i].next
+	} else {
+		p.slots = append(p.slots, entry{})
+		i = int32(len(p.slots) - 1)
+	}
+	p.nextOrd++
+	tail := p.slots[0].prev
+	e.ord, e.prev, e.next = p.nextOrd, tail, 0
+	p.slots[i] = e
+	p.slots[tail].next, p.slots[0].prev = i, i
+	p.index[e.c.ID] = i
+	if !e.expired && e.c.TTL != 0 {
+		p.due = append(p.due, i)
+		p.dueFix(len(p.due) - 1)
+	}
+	if e.inChecking() {
+		p.viewAdd(p.checking, i)
+	}
+	if e.available() {
+		p.viewAdd(p.avail, i)
+		if e.used {
+			p.delivered = append(p.delivered, i)
+		}
+	} else {
+		p.dead = append(p.dead, i)
+	}
 }
 
-// indexRemove drops c from its kind's index slice when the entry leaves the
-// checking buffer (callers hold the write lock). Removing an absent context
-// is a no-op, so idempotent life-cycle transitions stay idempotent here.
-func (p *Pool) indexRemove(c *ctx.Context) {
-	list := p.checkingByKind[c.Kind]
-	for i, e := range list {
-		if e.ID == c.ID {
-			p.checkingByKind[c.Kind] = append(list[:i], list[i+1:]...)
-			return
+// release unlinks slot i from the insertion order, the heap and the index
+// and frees it. The views must not hold it any more.
+func (p *Pool) release(i int32) {
+	e := &p.slots[i]
+	p.slots[e.prev].next, p.slots[e.next].prev = e.next, e.prev
+	if e.duePos != 0 {
+		p.dueRemove(int(e.duePos - 1))
+	}
+	delete(p.index, e.c.ID)
+	*e = entry{next: p.free}
+	p.free = i
+}
+
+// withdraw takes an available entry out of the views: the checking buffer
+// or, once used, the delivered view, and the available view.
+func (p *Pool) withdraw(i int32) {
+	if e := &p.slots[i]; e.used {
+		p.delivered = cut(p.delivered, p.deliveredAt(e.ord))
+	} else {
+		p.viewRemove(p.checking, i)
+	}
+	p.viewRemove(p.avail, i)
+}
+
+// kill prepares slot i for its first dead flag (discarded or expired): it
+// leaves the views and joins Compact's list. A second flag changes neither.
+func (p *Pool) kill(i int32) {
+	if p.slots[i].available() {
+		p.withdraw(i)
+		p.dead = append(p.dead, i)
+	}
+}
+
+// deliveredAt is where the entry with the ordinal is, or belongs.
+func (p *Pool) deliveredAt(ord uint64) int {
+	return sort.Search(len(p.delivered), func(k int) bool { return p.slots[p.delivered[k]].ord >= ord })
+}
+
+func (p *Pool) dueLess(a, b int32) bool {
+	ca, cb := p.slots[a].c, p.slots[b].c
+	return ca.Timestamp.Add(ca.TTL).Before(cb.Timestamp.Add(cb.TTL))
+}
+
+func (p *Pool) dueSet(k int, slot int32) {
+	p.due[k] = slot
+	p.slots[slot].duePos = int32(k + 1)
+}
+
+// dueFix restores the heap around position k, whose slot is new there.
+func (p *Pool) dueFix(k int) {
+	slot := p.due[k]
+	for k > 0 && p.dueLess(slot, p.due[(k-1)/2]) {
+		p.dueSet(k, p.due[(k-1)/2])
+		k = (k - 1) / 2
+	}
+	for { // a slot that moved up is already below nothing it should be above
+		child := 2*k + 1
+		if child+1 < len(p.due) && p.dueLess(p.due[child+1], p.due[child]) {
+			child++
 		}
+		if child >= len(p.due) || !p.dueLess(p.due[child], slot) {
+			break
+		}
+		p.dueSet(k, p.due[child])
+		k = child
+		p.visited++
+	}
+	p.dueSet(k, slot)
+}
+
+// dueRemove takes the heap's k-th element out.
+func (p *Pool) dueRemove(k int) {
+	p.slots[p.due[k]].duePos = 0
+	last := len(p.due) - 1
+	moved := p.due[last]
+	p.due = p.due[:last]
+	if k < last {
+		p.due[k] = moved
+		p.dueFix(k)
 	}
 }
 
@@ -112,11 +253,8 @@ func (p *Pool) indexRemove(c *ctx.Context) {
 func (p *Pool) Get(id ctx.ID) (*ctx.Context, bool) {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
-	e, ok := p.entries[id]
-	if !ok {
-		return nil, false
-	}
-	return e.c, true
+	i, ok := p.index[id]
+	return p.slots[i].c, ok // slot 0, the sentinel, holds no context
 }
 
 // MarkUsed records a context deletion change: the context leaves the
@@ -124,14 +262,17 @@ func (p *Pool) Get(id ctx.ID) (*ctx.Context, bool) {
 func (p *Pool) MarkUsed(id ctx.ID) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	e, ok := p.entries[id]
+	i, ok := p.index[id]
 	if !ok {
 		return fmt.Errorf("mark used %s: %w", id, ErrNotFound)
 	}
-	if !e.used {
+	if e := &p.slots[i]; !e.used {
+		if e.available() {
+			p.viewRemove(p.checking, i)
+			p.delivered = slices.Insert(p.delivered, p.deliveredAt(e.ord), i)
+		}
 		e.used = true
 		p.used++
-		p.indexRemove(e.c)
 	}
 	return nil
 }
@@ -140,14 +281,14 @@ func (p *Pool) MarkUsed(id ctx.ID) error {
 func (p *Pool) Discard(id ctx.ID) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	e, ok := p.entries[id]
+	i, ok := p.index[id]
 	if !ok {
 		return fmt.Errorf("discard %s: %w", id, ErrNotFound)
 	}
-	if !e.discarded {
+	if e := &p.slots[i]; !e.discarded {
+		p.kill(i)
 		e.discarded = true
 		p.discarded++
-		p.indexRemove(e.c)
 	}
 	return nil
 }
@@ -161,18 +302,18 @@ func (p *Pool) Discard(id ctx.ID) error {
 func (p *Pool) Remove(id ctx.ID) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	e, ok := p.entries[id]
+	i, ok := p.index[id]
 	if !ok {
 		return fmt.Errorf("remove %s: %w", id, ErrNotFound)
 	}
-	p.indexRemove(e.c)
-	delete(p.entries, id)
-	for i, oid := range p.order {
-		if oid == id {
-			p.order = append(p.order[:i], p.order[i+1:]...)
-			break
-		}
+	e := p.slots[i]
+	if e.available() {
+		p.withdraw(i)
+	} else {
+		// Not a rollback's case: leave Compact's list before the slot is reused.
+		p.dead = slices.DeleteFunc(p.dead, func(d int32) bool { return d == i })
 	}
+	p.release(i)
 	p.added--
 	if e.discarded {
 		p.discarded--
@@ -190,69 +331,77 @@ func (p *Pool) Remove(id ctx.ID) error {
 func (p *Pool) Discarded(id ctx.ID) bool {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
-	e, ok := p.entries[id]
-	return ok && e.discarded
+	i, ok := p.index[id]
+	return ok && p.slots[i].discarded
 }
 
 // Used reports whether the context has been used.
 func (p *Pool) Used(id ctx.ID) bool {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
-	e, ok := p.entries[id]
-	return ok && e.used
+	i, ok := p.index[id]
+	return ok && p.slots[i].used
 }
 
 // SweepExpired marks every entry whose available period has passed at now
 // and returns those that expired while still in the checking buffer
-// (unused and undiscarded), so the resolution strategy can release their
-// tracked state.
+// (unused and undiscarded), in insertion order, so the resolution strategy
+// can release their tracked state. It pops the expiry heap while its top is
+// due, so it costs O(expired · log n) and nothing when nothing is due; now
+// need not be monotonic.
 func (p *Pool) SweepExpired(now time.Time) []*ctx.Context {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	var fromChecking []*ctx.Context
-	for _, id := range p.order {
-		e := p.entries[id]
-		if e.expired || !e.c.Expired(now) {
-			continue
+	var swept []int32
+	for len(p.due) > 0 && p.slots[p.due[0]].c.Expired(now) {
+		i := p.due[0]
+		p.visited++
+		p.dueRemove(0)
+		if p.slots[i].inChecking() {
+			swept = append(swept, i)
 		}
-		if e.inChecking() {
-			fromChecking = append(fromChecking, e.c)
-		}
-		e.expired = true
+		p.kill(i)
+		p.slots[i].expired = true
 		p.expired++
-		p.indexRemove(e.c)
 	}
-	return fromChecking
+	// The heap pops by deadline; callers journal in insertion order.
+	slices.SortFunc(swept, func(a, b int32) int { return cmp.Compare(p.slots[a].ord, p.slots[b].ord) })
+	return p.contexts(swept)
 }
 
-// Checking returns the checking buffer in insertion order.
-func (p *Pool) Checking() []*ctx.Context {
+// contexts resolves slots to a fresh slice of their contexts, nil for none.
+func (p *Pool) contexts(slots []int32) []*ctx.Context {
+	if len(slots) == 0 {
+		return nil
+	}
+	out := make([]*ctx.Context, len(slots))
+	for k, i := range slots {
+		out[k] = p.slots[i].c
+	}
+	return out
+}
+
+// inOrder collects, in insertion order, the contexts whose entries keep
+// accepts. It walks every entry: nothing on the request path calls it.
+func (p *Pool) inOrder(keep func(*entry) bool) []*ctx.Context {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
 	var out []*ctx.Context
-	for _, id := range p.order {
-		if e := p.entries[id]; e.inChecking() {
+	for i := p.slots[0].next; i != 0; i = p.slots[i].next {
+		if e := &p.slots[i]; keep(e) {
 			out = append(out, e.c)
 		}
 	}
 	return out
 }
 
+// Checking returns the checking buffer in insertion order.
+func (p *Pool) Checking() []*ctx.Context { return p.inOrder((*entry).inChecking) }
+
 // CheckingUniverse returns the checking buffer as a constraint universe.
 func (p *Pool) CheckingUniverse() *constraint.SliceUniverse {
-	return constraint.NewSliceUniverse(p.Checking())
-}
-
-// CheckingOfKind returns a copy of the checking buffer restricted to one
-// kind, in chronological order, straight from the kind index.
-func (p *Pool) CheckingOfKind(kind ctx.Kind) []*ctx.Context {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	list := p.checkingByKind[kind]
-	if len(list) == 0 {
-		return nil
-	}
-	return append([]*ctx.Context(nil), list...)
+	u, _ := p.checkingUniverse(nil, true)
+	return u
 }
 
 // CheckingUniverseFor snapshots the checking buffer restricted to the given
@@ -263,35 +412,29 @@ func (p *Pool) CheckingOfKind(kind ctx.Kind) []*ctx.Context {
 // number of checking contexts pruned — live contexts whose kind no
 // requested constraint quantifies over.
 func (p *Pool) CheckingUniverseFor(kinds map[ctx.Kind]bool) (*constraint.SliceUniverse, int) {
+	return p.checkingUniverse(kinds, false)
+}
+
+func (p *Pool) checkingUniverse(kinds map[ctx.Kind]bool, all bool) (*constraint.SliceUniverse, int) {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
-	byKind := make(map[ctx.Kind][]*ctx.Context, len(kinds))
+	byKind := make(map[ctx.Kind][]*ctx.Context, len(p.checking))
 	pruned := 0
-	for k, list := range p.checkingByKind {
+	for k, list := range p.checking {
 		if len(list) == 0 {
 			continue
 		}
-		if !kinds[k] {
+		if !all && !kinds[k] {
 			pruned += len(list)
 			continue
 		}
-		byKind[k] = append([]*ctx.Context(nil), list...)
+		byKind[k] = p.contexts(list)
 	}
 	return constraint.NewPresortedUniverse(byKind), pruned
 }
 
 // Available returns the contexts applications may read, in insertion order.
-func (p *Pool) Available() []*ctx.Context {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	var out []*ctx.Context
-	for _, id := range p.order {
-		if e := p.entries[id]; e.available() {
-			out = append(out, e.c)
-		}
-	}
-	return out
-}
+func (p *Pool) Available() []*ctx.Context { return p.inOrder((*entry).available) }
 
 // Delivered returns the contexts applications have actually consumed (used
 // and still available) in insertion order — the view situations are
@@ -299,26 +442,60 @@ func (p *Pool) Available() []*ctx.Context {
 func (p *Pool) Delivered() []*ctx.Context {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
-	var out []*ctx.Context
-	for _, id := range p.order {
-		if e := p.entries[id]; e.used && e.available() {
-			out = append(out, e.c)
-		}
-	}
-	return out
+	return p.contexts(p.delivered)
 }
 
-// AvailableBySubject filters the available view by subject, newest first.
-func (p *Pool) AvailableBySubject(subject string) []*ctx.Context {
-	out := filter(p.Available(), func(c *ctx.Context) bool { return c.Subject == subject })
-	sort.Sort(sort.Reverse(ctx.ByTimestamp(out)))
-	return out
+// AvailableOfKind returns a copy of the available view restricted to one
+// kind, in chronological order — what a universe's quantifiers range over.
+func (p *Pool) AvailableOfKind(kind ctx.Kind) []*ctx.Context {
+	p.mu.RLock()
+	defer p.mu.RUnlock()
+	return p.contexts(p.avail[kind])
 }
 
 // AvailableByKind filters the available view by kind, newest first.
 func (p *Pool) AvailableByKind(kind ctx.Kind) []*ctx.Context {
-	out := filter(p.Available(), func(c *ctx.Context) bool { return c.Kind == kind })
-	sort.Sort(sort.Reverse(ctx.ByTimestamp(out)))
+	out := p.AvailableOfKind(kind)
+	slices.Reverse(out)
+	return out
+}
+
+// NewestAvailable returns the newest available context of the kind and
+// subject (empty subject matches any), or nil. It copies nothing.
+func (p *Pool) NewestAvailable(kind ctx.Kind, subject string) *ctx.Context {
+	p.mu.RLock()
+	defer p.mu.RUnlock()
+	list := p.avail[kind]
+	for k := len(list) - 1; k >= 0; k-- {
+		if c := p.slots[list[k]].c; subject == "" || c.Subject == subject {
+			return c
+		}
+	}
+	return nil
+}
+
+// AvailableBySubject filters the available view by subject, newest first.
+// Each kind's matches come out of its list in order; only a subject with
+// contexts of several kinds needs them sorted together.
+func (p *Pool) AvailableBySubject(subject string) []*ctx.Context {
+	p.mu.RLock()
+	defer p.mu.RUnlock()
+	var out []*ctx.Context
+	kinds := 0
+	for _, list := range p.avail {
+		n := len(out)
+		for k := len(list) - 1; k >= 0; k-- {
+			if c := p.slots[list[k]].c; c.Subject == subject {
+				out = append(out, c)
+			}
+		}
+		if len(out) > n {
+			kinds++
+		}
+	}
+	if kinds > 1 {
+		sort.Sort(sort.Reverse(ctx.ByTimestamp(out)))
+	}
 	return out
 }
 
@@ -336,56 +513,34 @@ type Stats struct {
 func (p *Pool) Stats() Stats {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
-	s := Stats{
+	return Stats{
 		Added:     p.added,
 		Discarded: p.discarded,
 		Expired:   p.expired,
 		Used:      p.used,
+		// Every entry is available or in dead; the available are delivered
+		// or in the checking buffer.
+		Checking:  len(p.index) - len(p.dead) - len(p.delivered),
+		Available: len(p.index) - len(p.dead),
 	}
-	for _, e := range p.entries {
-		if e.inChecking() {
-			s.Checking++
-		}
-		if e.available() {
-			s.Available++
-		}
-	}
-	return s
 }
 
 // Len returns the total number of stored contexts (any state).
 func (p *Pool) Len() int {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
-	return len(p.entries)
+	return len(p.index)
 }
 
 // Compact drops discarded and expired entries to bound memory in long
-// runs. It returns the number of entries removed.
+// runs. It returns the number of entries removed, and visits only those.
 func (p *Pool) Compact() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	keep := p.order[:0]
-	removed := 0
-	for _, id := range p.order {
-		e := p.entries[id]
-		if e.discarded || e.expired {
-			delete(p.entries, id)
-			removed++
-			continue
-		}
-		keep = append(keep, id)
+	for _, i := range p.dead {
+		p.release(i)
 	}
-	p.order = keep
+	removed := len(p.dead)
+	p.dead = p.dead[:0]
 	return removed
-}
-
-func filter(in []*ctx.Context, keep func(*ctx.Context) bool) []*ctx.Context {
-	var out []*ctx.Context
-	for _, c := range in {
-		if keep(c) {
-			out = append(out, c)
-		}
-	}
-	return out
 }

@@ -2,6 +2,8 @@ package pool
 
 import (
 	"errors"
+	"fmt"
+	"math/bits"
 	"sync"
 	"testing"
 	"time"
@@ -279,7 +281,7 @@ func TestKindIndexTracksLifecycle(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	got := p.CheckingOfKind(ctx.KindLocation)
+	got := checkingOfKind(p, ctx.KindLocation)
 	if len(got) != 3 || got[0].ID != "early" || got[1].ID != "mid" || got[2].ID != "late" {
 		t.Fatalf("index order = %v", got)
 	}
@@ -292,7 +294,7 @@ func TestKindIndexTracksLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = p.MarkUsed("mid")
-	got = p.CheckingOfKind(ctx.KindLocation)
+	got = checkingOfKind(p, ctx.KindLocation)
 	if len(got) != 1 || got[0].ID != "early" {
 		t.Fatalf("index after transitions = %v", got)
 	}
@@ -303,11 +305,11 @@ func TestKindIndexTracksLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.SweepExpired(t0.Add(time.Hour))
-	got = p.CheckingOfKind(ctx.KindLocation)
+	got = checkingOfKind(p, ctx.KindLocation)
 	if len(got) != 1 || got[0].ID != "early" {
 		t.Fatalf("index after sweep = %v", got)
 	}
-	if p.CheckingOfKind(ctx.KindRFIDRead) != nil {
+	if checkingOfKind(p, ctx.KindRFIDRead) != nil {
 		t.Fatal("unknown kind not empty")
 	}
 }
@@ -379,7 +381,7 @@ func TestRemoveRollsBackAdd(t *testing.T) {
 		t.Fatalf("stats = %+v, want added/checking rolled back to 1", st)
 	}
 	// The kind index forgets it too: only "a" remains in checking.
-	if cs := p.CheckingOfKind(ctx.KindLocation); len(cs) != 1 || cs[0].ID != "a" {
+	if cs := checkingOfKind(p, ctx.KindLocation); len(cs) != 1 || cs[0].ID != "a" {
 		t.Fatalf("checking = %v, want [a]", cs)
 	}
 	// Re-adding the removed ID is allowed — it was never here.
@@ -406,4 +408,46 @@ func TestRemoveRollsBackLifecycleCounters(t *testing.T) {
 	if st := p.Stats(); st.Added != 0 || st.Used != 0 {
 		t.Fatalf("stats = %+v, want all counters rolled back", st)
 	}
+}
+
+// TestSweepVisitsOnlyWhatIsDue pins the sweep's cost without a stopwatch:
+// the entries it pops or sifts past are none when nothing is due and
+// k·O(log n) when k are, whatever is resident, and a sweep that finds
+// nothing allocates nothing.
+func TestSweepVisitsOnlyWhatIsDue(t *testing.T) {
+	for _, resident := range []int{1000, 64000} {
+		p := New()
+		for i := 0; i < resident; i++ {
+			c := ctx.NewLocation("peter", t0.Add(time.Duration(i)*time.Second), ctx.Point{},
+				ctx.WithID(ctx.ID(fmt.Sprint("c", i))), ctx.WithTTL(time.Hour))
+			if err := p.Add(c); err != nil {
+				t.Fatal(err)
+			}
+			if i%2 == 0 {
+				_ = p.MarkUsed(c.ID)
+			}
+		}
+		idle := t0.Add(time.Hour) // the oldest deadline itself: not yet passed
+		before := p.visited
+		if got := p.SweepExpired(idle); got != nil || p.visited != before {
+			t.Fatalf("resident %d: idle sweep returned %v and visited %d entries", resident, got, p.visited-before)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { p.SweepExpired(idle) }); allocs != 0 {
+			t.Fatalf("resident %d: idle sweep allocates %v times", resident, allocs)
+		}
+		const k = 8
+		got := p.SweepExpired(idle.Add(k * time.Second))
+		if len(got) != k/2 || p.Stats().Expired != k {
+			t.Fatalf("resident %d: sweep returned %d contexts and expired %d, want %d and %d",
+				resident, len(got), p.Stats().Expired, k/2, k)
+		}
+		if visited, bound := p.visited-before, uint64(k*(1+bits.Len(uint(resident)))); visited < k || visited > bound {
+			t.Fatalf("resident %d: sweep of %d due entries visited %d, want %d..%d", resident, k, visited, k, bound)
+		}
+	}
+}
+
+// checkingOfKind is one kind of the checking buffer, in chronological order.
+func checkingOfKind(p *Pool, kind ctx.Kind) []*ctx.Context {
+	return p.CheckingUniverse().ContextsOfKind(kind)
 }

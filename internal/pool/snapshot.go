@@ -2,6 +2,7 @@ package pool
 
 import (
 	"fmt"
+	"slices"
 
 	"ctxres/internal/ctx"
 )
@@ -36,14 +37,14 @@ func (p *Pool) Snapshot() Snapshot {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
 	s := Snapshot{
-		Entries:   make([]EntrySnapshot, 0, len(p.order)),
+		Entries:   make([]EntrySnapshot, 0, len(p.index)),
 		Added:     p.added,
 		Discarded: p.discarded,
 		Expired:   p.expired,
 		Used:      p.used,
 	}
-	for _, id := range p.order {
-		e := p.entries[id]
+	for i := p.slots[0].next; i != 0; i = p.slots[i].next {
+		e := &p.slots[i]
 		s.Entries = append(s.Entries, EntrySnapshot{
 			Context:   e.c,
 			State:     e.c.State().String(),
@@ -56,9 +57,10 @@ func (p *Pool) Snapshot() Snapshot {
 }
 
 // Restore rebuilds a pool from a snapshot: entries, life-cycle state and
-// flags, the kind index over the checking buffer, and the counters.
+// flags, the expiry heap and the views, and the counters.
 func Restore(s Snapshot) (*Pool, error) {
 	p := New()
+	p.slots = slices.Grow(p.slots, len(s.Entries))
 	for i, es := range s.Entries {
 		c := es.Context
 		if c == nil {
@@ -76,15 +78,10 @@ func Restore(s Snapshot) (*Pool, error) {
 				return nil, fmt.Errorf("pool: restore %s: %w", c.ID, err)
 			}
 		}
-		if _, dup := p.entries[c.ID]; dup {
+		if _, dup := p.index[c.ID]; dup {
 			return nil, fmt.Errorf("pool: restore %s: %w", c.ID, ErrDuplicate)
 		}
-		e := &entry{c: c, used: es.Used, discarded: es.Discarded, expired: es.Expired}
-		p.entries[c.ID] = e
-		p.order = append(p.order, c.ID)
-		if e.inChecking() {
-			p.indexAdd(c)
-		}
+		p.insert(entry{c: c, used: es.Used, discarded: es.Discarded, expired: es.Expired})
 	}
 	p.added = s.Added
 	p.discarded = s.Discarded

@@ -83,7 +83,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	if got, want := len(p2.Checking()), len(p.Checking()); got != want {
 		t.Fatalf("checking = %d, want %d", got, want)
 	}
-	if got, want := len(p2.CheckingOfKind(ctx.KindLocation)), len(p.CheckingOfKind(ctx.KindLocation)); got != want {
+	if got, want := len(checkingOfKind(p2, ctx.KindLocation)), len(checkingOfKind(p, ctx.KindLocation)); got != want {
 		t.Fatalf("kind index = %d, want %d", got, want)
 	}
 

@@ -29,8 +29,8 @@ type ResolutionEvent struct {
 // how much history was evicted. Nil-safe: all methods no-op on nil, so
 // provenance stays free when not configured.
 type ProvenanceRing struct {
-	mu    sync.Mutex
-	buf   []ResolutionEvent
+	mu   sync.Mutex
+	buf  []ResolutionEvent
 	next uint64 // total events ever appended; buf[(next-1) % cap] is newest
 	cap  int
 }

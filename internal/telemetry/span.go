@@ -45,14 +45,14 @@ type StageTiming struct {
 // on untraced operations, so span logs written without tracing are
 // byte-identical to the pre-tracing format.
 type Span struct {
-	Op       string    `json:"op"`
-	ID       string    `json:"id,omitempty"`
-	Outcome  string    `json:"outcome,omitempty"`
-	TraceID  string    `json:"trace_id,omitempty"`
-	SpanID   string    `json:"span_id,omitempty"`
-	ParentID string    `json:"parent_id,omitempty"`
-	Start    time.Time `json:"start"`
-	Seconds  float64   `json:"seconds"`
+	Op       string        `json:"op"`
+	ID       string        `json:"id,omitempty"`
+	Outcome  string        `json:"outcome,omitempty"`
+	TraceID  string        `json:"trace_id,omitempty"`
+	SpanID   string        `json:"span_id,omitempty"`
+	ParentID string        `json:"parent_id,omitempty"`
+	Start    time.Time     `json:"start"`
+	Seconds  float64       `json:"seconds"`
 	Stages   []StageTiming `json:"stages,omitempty"`
 	// Resolution carries the provenance of the constraint resolution this
 	// span performed, when it performed one (the first violation's event;
