@@ -1,9 +1,9 @@
 # Development targets for ctxres. `make` (or `make check`) is the default
 # gate: gofmt + vet + build + full test suite + race-mode run of the
-# packages with real concurrency (the parallel checker and the middleware
-# around it) + vet and unit tests of the nested benchmark module, which
-# imports internal/... and so breaks on internal-API changes that tier-1
-# alone would not notice.
+# packages with real concurrency (the middleware and its watchdog, pool,
+# WAL, daemon and cluster) + vet and unit tests of the nested benchmark
+# module, which imports internal/... and so breaks on internal-API changes
+# that tier-1 alone would not notice.
 
 GO ?= go
 FUZZTIME ?= 30s
@@ -77,7 +77,7 @@ cover:
 	$(GO) tool cover -func=coverage.out | tail -1
 
 # Short deterministic-budget fuzz pass over every fuzz target: the
-# constraint parser/evaluator, the WAL frame and segment scanners, the
+# constraint parser/evaluator and its order invariance, the WAL frame and segment scanners, the
 # trace reader shared with `ctxwal dump`, the daemon's binary wire framing
 # and batch-submit decode paths, and the pool against its scan-based model
 # (an execution there compares every view after every step, so minimizing
@@ -86,7 +86,7 @@ cover:
 fuzz-smoke:
 	$(GO) test ./internal/constraint -run='^$$' -fuzz=FuzzParse -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/constraint -run='^$$' -fuzz=FuzzLoadConstraints -fuzztime=$(FUZZTIME)
-	$(GO) test ./internal/constraint -run='^$$' -fuzz=FuzzDifferentialParallel -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/constraint -run='^$$' -fuzz=FuzzCheckOrderInvariance -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/wal -run='^$$' -fuzz=FuzzRecordRoundTrip -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/wal -run='^$$' -fuzz=FuzzSegmentScan -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/trace -run='^$$' -fuzz=FuzzTraceRead -fuzztime=$(FUZZTIME)

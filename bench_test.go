@@ -215,61 +215,6 @@ func BenchmarkCheckerFull(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelVsSerialCheck is the parallel-evaluator ablation: one
-// full consistency check over a Figure-9-sized location stream, serial vs
-// sharded across 2/4/8 workers. On multi-core hardware the parallel rows
-// show the wall-clock speedup the sharding buys (the output is proven
-// byte-identical by the differential harness, so only time differs); on a
-// single core they expose the sharding overhead instead.
-func BenchmarkParallelVsSerialCheck(b *testing.B) {
-	ch := benchChecker()
-	u := constraint.NewSliceUniverse(benchTrace(512, 8))
-	b.Run("serial", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			ch.Check(u)
-		}
-	})
-	for _, workers := range []int{2, 4, 8} {
-		b.Run(fmt.Sprintf("parallel-%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				ch.CheckParallel(u, workers)
-			}
-		})
-	}
-}
-
-// TestParallelCheckerNoRegression pins the figures' correctness to the
-// choice of evaluator: the Figure-9 configuration run under the serial and
-// the parallel checker must produce identical resolution outcomes (rates,
-// not timings) for every compared strategy.
-func TestParallelCheckerNoRegression(t *testing.T) {
-	spec := experiment.CallForwardingApp()
-	w, err := spec.NewWorkload(0.2, rand.New(rand.NewSource(7)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range experiment.ComparedStrategies() {
-		serial, err := experiment.RunOnceOpts(spec, w, name,
-			rand.New(rand.NewSource(8)), experiment.RunOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, par := range []int{2, 4} {
-			got, err := experiment.RunOnceOpts(spec, w, name,
-				rand.New(rand.NewSource(8)), experiment.RunOptions{Parallelism: par})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got.Rates != serial.Rates {
-				t.Fatalf("strategy %s parallelism %d: rates %+v, serial %+v",
-					name, par, got.Rates, serial.Rates)
-			}
-		}
-	}
-}
-
 // BenchmarkCheckerIncremental measures the incremental check for one
 // addition against the same buffer — the ICSE'06 optimization the
 // middleware uses on every submission.

@@ -9,13 +9,7 @@
 //
 // Use -groups to change the number of experiment groups per data point
 // (paper: 20), -seed for reproducibility, and -csv to also emit CSV files
-// into the given directory.
-//
-// -parallelism N (N > 1) switches every figure run onto the parallel
-// binding evaluator with N checker workers; -parallelism -1 sizes the pool
-// to the hardware (GOMAXPROCS). The parallel checker is output-equivalent
-// to the serial default, so results are identical — only wall-clock time
-// changes.
+// into the given directory. Output is deterministic given -seed.
 package main
 
 import (
@@ -25,7 +19,6 @@ import (
 	"os"
 	"path/filepath"
 
-	"ctxres/internal/constraint"
 	"ctxres/internal/experiment"
 	"ctxres/internal/telemetry"
 )
@@ -47,9 +40,7 @@ func run(args []string, out io.Writer) error {
 		groups    = fs.Int("groups", 20, "experiment groups per data point")
 		seed      = fs.Int64("seed", 20080617, "base random seed")
 		csvDir    = fs.String("csv", "", "also write CSV files into this directory")
-		par       = fs.Int("parallelism", 0, "checker workers for the figure runs "+
-			"(<=1 serial, -1 = GOMAXPROCS)")
-		strats = fs.String("strategies", "", "comma-separated strategy list for the figures "+
+		strats    = fs.String("strategies", "", "comma-separated strategy list for the figures "+
 			"(default: the paper's four; try OPT-R,D-BAD,D-BAD+I,D-LAT,D-ALL,D-RAND,P-OLD)")
 		version = fs.Bool("version", false, "print build information and exit")
 	)
@@ -68,10 +59,6 @@ func run(args []string, out io.Writer) error {
 	cfg := experiment.DefaultFigureConfig()
 	cfg.Groups = *groups
 	cfg.Seed = *seed
-	cfg.Parallelism = *par
-	if *par < 0 {
-		cfg.Parallelism = constraint.DefaultParallelism()
-	}
 	if *strats != "" {
 		names, err := experiment.ParseStrategies(*strats)
 		if err != nil {

@@ -17,7 +17,6 @@ type config struct {
 	addr, app, strategy      string
 	seed                     int64
 	constraints              string
-	parallelism              int
 	idle, drain              time.Duration
 	maxConns                 int
 	dataDir, fsync           string
@@ -47,8 +46,6 @@ func (c *config) bind(fs *flag.FlagSet) {
 	fs.StringVar(&c.strategy, "strategy", "D-BAD", "resolution strategy: D-BAD, D-LAT, D-ALL, D-RAND, OPT-R")
 	fs.Int64Var(&c.seed, "seed", 1, "seed for randomized strategies")
 	fs.StringVar(&c.constraints, "constraints", "", "load the constraint set from this file instead of the app profile")
-	fs.IntVar(&c.parallelism, "parallelism", 0, "checker workers per consistency check "+
-		"(<=1 serial, -1 = GOMAXPROCS)")
 	fs.DurationVar(&c.idle, "idle-timeout", daemon.DefaultIdleTimeout,
 		"close connections idle longer than this (0 disables)")
 	fs.IntVar(&c.maxConns, "max-conns", daemon.DefaultMaxConns,
@@ -121,6 +118,10 @@ func (c *config) validate() error {
 		return fmt.Errorf("-idle-timeout must be >= 0 (0 disables), got %v", c.idle)
 	case c.drain <= 0:
 		return fmt.Errorf("-drain-timeout must be > 0, got %v", c.drain)
+	case c.maxConns < 0:
+		return fmt.Errorf("-max-conns must be >= 0 (0 = unlimited), got %d", c.maxConns)
+	case c.fsyncEvery < 0:
+		return fmt.Errorf("-fsync-interval must be >= 0 (0 = default), got %v", c.fsyncEvery)
 	case c.snapshot < 0:
 		return fmt.Errorf("-snapshot-interval must be >= 0 (0 disables), got %v", c.snapshot)
 	case c.compact < 0:

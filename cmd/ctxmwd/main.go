@@ -6,9 +6,8 @@
 //
 // -app selects the bundled constraint/situation sets (callforward, rfid);
 // -strategy selects the resolution strategy (D-BAD, D-LAT, D-ALL, D-RAND,
-// OPT-R); -parallelism switches consistency checking onto the parallel
-// binding evaluator (as in ctxbench); -idle-timeout, -max-conns, and
-// -drain-timeout tune the serving path.
+// OPT-R); -idle-timeout, -max-conns, and -drain-timeout tune the serving
+// path.
 //
 // -data-dir enables durability: every state-changing operation is
 // journaled to a write-ahead log in that directory, and on startup the
@@ -157,8 +156,7 @@ type daemonProc struct {
 	prov    *telemetry.ProvenanceRing
 	serve   []daemon.Option
 	start   time.Time
-	strat   string // the strategy's name and the resolved -parallelism,
-	workers int    // set by pipeline for the log lines and /statusz
+	strat   string // the strategy's name, set by pipeline for the log lines and /statusz
 
 	view    atomic.Pointer[roleView] // what /healthz and /statusz report right now
 	closers []func() error           // shutdown steps, run last-in first-out by stop
@@ -373,20 +371,16 @@ func (d *daemonProc) startRouter() error {
 }
 
 // pipeline resolves the flags only a middleware reads — strategy,
-// checker workers, admission, watchdog, breakers — into its constructor.
+// admission, watchdog, breakers — into its constructor.
 func (d *daemonProc) pipeline() (func() *middleware.Middleware, error) {
 	strat, err := experiment.NewStrategy(experiment.StrategyName(d.strategy),
 		rand.New(rand.NewSource(d.seed)), nil)
 	if err != nil {
 		return nil, err
 	}
-	d.strat, d.workers = strat.Name(), d.parallelism
-	if d.workers < 0 {
-		d.workers = constraint.DefaultParallelism()
-	}
+	d.strat = strat.Name()
 	opts := []middleware.Option{
 		middleware.WithSituations(d.engine),
-		middleware.WithCheckerOptions(middleware.CheckerOptions{Parallelism: d.workers}),
 		middleware.WithTelemetry(d.reg),
 		middleware.WithProvenance(d.prov),
 		middleware.WithSpanSink(d.sink),
@@ -505,8 +499,8 @@ func (d *daemonProc) startLeader() error {
 		return err
 	}
 	b := telemetry.BuildInfo()
-	fmt.Printf("ctxmwd: serving %s application with %s on %s (parallelism %d, %s %s/%s)\n",
-		d.app, d.strat, d.srv.Addr(), d.workers, b.GoVersion, b.OS, b.Arch)
+	fmt.Printf("ctxmwd: serving %s application with %s on %s (%s %s/%s)\n",
+		d.app, d.strat, d.srv.Addr(), b.GoVersion, b.OS, b.Arch)
 	return nil
 }
 
@@ -591,7 +585,6 @@ func (d *daemonProc) leaderStack(mw *middleware.Middleware, role string, bumpEpo
 	d.view.Store(&roleView{role: role, health: srv.Health, section: func(m map[string]any) {
 		m["addr"] = srv.Addr().String()
 		m["strategy"] = d.strat
-		m["parallelism"] = d.workers
 		m["dataDir"] = d.dataDir
 		m["fsync"] = d.fsync
 		m["poolContexts"] = mw.Pool().Len()

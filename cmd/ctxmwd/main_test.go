@@ -68,41 +68,6 @@ func TestSetupVersionExitsCleanly(t *testing.T) {
 	}
 }
 
-func TestSetupParallelismReachesChecker(t *testing.T) {
-	d, err := setup([]string{"-addr", "127.0.0.1:0", "-parallelism", "4"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.srv.Shutdown()
-	client, err := daemon.Dial(d.srv.Addr().String(), 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
-	t0 := time.Date(2008, 6, 17, 9, 0, 0, 0, time.UTC)
-	for i := 1; i <= 2; i++ {
-		c := ctx.NewLocation("peter", t0.Add(time.Duration(i)*time.Second),
-			ctx.Point{X: float64(i)},
-			ctx.WithSeq(uint64(i)), ctx.WithSource("s"))
-		if _, err := client.Submit(c); err != nil {
-			t.Fatal(err)
-		}
-	}
-	mwStats, _, err := client.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mwStats.Shards == 0 {
-		t.Fatalf("stats = %+v, want shard dispatches from the parallel checker", mwStats)
-	}
-	// -parallelism -1 sizes the pool from GOMAXPROCS and must also serve.
-	d2, err := setup([]string{"-addr", "127.0.0.1:0", "-parallelism", "-1"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d2.srv.Shutdown()
-}
-
 func TestSetupErrors(t *testing.T) {
 	if _, err := setup([]string{"-app", "bogus"}); err == nil {
 		t.Fatal("bad app accepted")
@@ -133,6 +98,8 @@ func TestSetupFlagValidation(t *testing.T) {
 		{"negative idle", []string{"-idle-timeout", "-1s"}, "-idle-timeout"},
 		{"zero drain", []string{"-drain-timeout", "0"}, "-drain-timeout"},
 		{"negative drain", []string{"-drain-timeout", "-2s"}, "-drain-timeout"},
+		{"negative max-conns", []string{"-max-conns", "-5"}, "-max-conns"},
+		{"negative fsync-interval", []string{"-fsync-interval", "-1s"}, "-fsync-interval"},
 		{"negative snapshot", []string{"-snapshot-interval", "-1m"}, "-snapshot-interval"},
 		{"negative compact", []string{"-compact-interval", "-1m"}, "-compact-interval"},
 		{"negative max-pending", []string{"-max-pending", "-1"}, "-max-pending"},
@@ -455,11 +422,10 @@ func TestSetupMetricsEndpoint(t *testing.T) {
 		t.Fatalf("/statusz = %d", code)
 	}
 	var status struct {
-		Build       telemetry.Build `json:"build"`
-		App         string          `json:"app"`
-		Strategy    string          `json:"strategy"`
-		PoolCtxs    int             `json:"poolContexts"`
-		Parallelism int             `json:"parallelism"`
+		Build    telemetry.Build `json:"build"`
+		App      string          `json:"app"`
+		Strategy string          `json:"strategy"`
+		PoolCtxs int             `json:"poolContexts"`
 	}
 	if err := json.Unmarshal([]byte(body), &status); err != nil {
 		t.Fatalf("statusz not JSON: %v\n%s", err, body)

@@ -619,8 +619,6 @@ func sumStats(mws []middleware.Stats, pls []pool.Stats) (middleware.Stats, pool.
 		mw.Rejected += s.Rejected
 		mw.Expired += s.Expired
 		mw.Situations += s.Situations
-		mw.Shards += s.Shards
-		mw.PrunedBindings += s.PrunedBindings
 		mw.Compactions += s.Compactions
 		mw.CompactRemoved += s.CompactRemoved
 	}

@@ -50,20 +50,14 @@ var (
 //
 // Evaluation model: every check runs against an immutable snapshot of the
 // universe (the pool copies its kind index under lock before handing it
-// over), so evaluation never observes concurrent pool mutation. On top of
-// that snapshot the checker offers two equivalent evaluators:
+// over), so evaluation never observes concurrent pool mutation and a
+// check the middleware's watchdog abandons can finish harmlessly.
 //
-//   - the serial evaluator (Check, CheckAddition), used by default;
-//   - the parallel evaluator (CheckParallel, CheckAdditionParallel in
-//     parallel.go), which shards the candidate bindings of each root-level
-//     universal quantifier across a bounded worker pool.
-//
-// Determinism guarantee: both evaluators return violations in the same
-// byte-identical order — constraints in registration order, and within a
-// constraint links deduplicated and sorted by canonical link key. Parallel
-// shards merge by concatenation in domain order before deduplication, so
-// worker count and scheduling never change the output; the differential
-// test harness (differential_test.go) pins this equivalence.
+// Determinism guarantee: violations come back in one byte-identical order
+// — constraints in registration order, and within a constraint links
+// deduplicated and sorted by canonical link key — whatever order the
+// contexts reached the universe in; the differential test harness
+// (differential_test.go) pins this for random formulas.
 //
 // Registration (Register/MustRegister) is not safe for concurrent use with
 // checking; the middleware registers constraints at start-up and serializes

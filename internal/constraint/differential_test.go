@@ -10,10 +10,10 @@ import (
 )
 
 // Differential test harness: generate random universes and random closed
-// formulas, then assert the parallel checker's output is byte-identical to
-// the serial checker's across worker counts and seeds. The generator is
-// shared with FuzzDifferentialParallel, which explores (seed, workers)
-// pairs beyond the fixed sweep below.
+// formulas, then assert Check and CheckAddition return byte-identical
+// violations when the same contexts reach NewSliceUniverse in a shuffled
+// order. The generator is shared with FuzzCheckOrderInvariance, which
+// explores (seed, shuffle) pairs beyond the fixed sweep below.
 
 var genKinds = []ctx.Kind{ctx.KindLocation, ctx.KindRFIDRead, ctx.Kind("diff.sensor")}
 
@@ -103,8 +103,8 @@ func genFormula(rng *rand.Rand, depth int, scope []genVar, nextVar *int) Formula
 }
 
 // genConstraint builds a random closed constraint. Most roots are universal
-// quantifiers (the shape the parallel evaluator shards); the rest exercise
-// the single-task fallback.
+// quantifiers (the shape incremental checking prunes); the rest exercise
+// the full re-check fallback.
 func genConstraint(rng *rand.Rand, name string) *Constraint {
 	nextVar := 0
 	var f Formula
@@ -141,122 +141,83 @@ func assertSameViolations(t *testing.T, label string, want, got []Violation) {
 	t.Helper()
 	w, g := renderViolations(want), renderViolations(got)
 	if len(w) != len(g) {
-		t.Fatalf("%s: serial %d violations %v, parallel %d violations %v",
+		t.Fatalf("%s: in order %d violations %v, shuffled %d violations %v",
 			label, len(w), w, len(g), g)
 	}
 	for i := range w {
 		if w[i] != g[i] {
-			t.Fatalf("%s: violation %d differs: serial %q, parallel %q\nserial:   %v\nparallel: %v",
+			t.Fatalf("%s: violation %d differs: in order %q, shuffled %q\nin order: %v\nshuffled: %v",
 				label, i, w[i], g[i], w, g)
 		}
 	}
 }
 
-// checkDifferential runs one seed's equivalence check: serial vs parallel
-// for both full checks and addition checks, at the given worker count.
-func checkDifferential(t *testing.T, seed int64, workers int) {
+// checkDifferential runs one seed's invariance check: the universe built
+// from the generated contexts and one built from a shuffled copy of them
+// must yield identical violations, for full checks and addition checks.
+func checkDifferential(t *testing.T, seed int64, shuffle int) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	u, cs := genUniverse(rng)
 	ch := genChecker(rng)
+	shuffled := append([]*ctx.Context(nil), cs...)
+	perm := rand.New(rand.NewSource(seed*31 + int64(shuffle)))
+	perm.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	su := NewSliceUniverse(shuffled)
 
-	label := fmt.Sprintf("seed %d workers %d", seed, workers)
-	assertSameViolations(t, label+" full",
-		ch.Check(u), ch.CheckParallel(u, workers))
+	label := fmt.Sprintf("seed %d shuffle %d", seed, shuffle)
+	assertSameViolations(t, label+" full", ch.Check(u), ch.Check(su))
 
 	added := cs[rng.Intn(len(cs))]
 	assertSameViolations(t, label+" addition",
-		ch.CheckAddition(u, added), ch.CheckAdditionParallel(u, added, workers))
+		ch.CheckAddition(u, added), ch.CheckAddition(su, added))
 }
 
-// TestDifferentialParallelVsSerial sweeps seeds 1..100 and worker counts
-// 1..8, asserting byte-identical output between the two evaluators.
-func TestDifferentialParallelVsSerial(t *testing.T) {
+// TestCheckOrderInvariance sweeps seeds 1..100 with eight shuffles each,
+// asserting the checker's output does not depend on the order contexts
+// reached the universe in.
+func TestCheckOrderInvariance(t *testing.T) {
 	for seed := int64(1); seed <= 100; seed++ {
-		for workers := 1; workers <= 8; workers++ {
-			checkDifferential(t, seed, workers)
+		for shuffle := 1; shuffle <= 8; shuffle++ {
+			checkDifferential(t, seed, shuffle)
 		}
 	}
 }
 
-// TestDifferentialEmptyAndDegenerate pins the edge cases sharding must not
-// disturb: empty universes, empty checkers, nil additions, single-context
-// domains, and worker counts exceeding the domain size.
+// TestDifferentialEmptyAndDegenerate pins the checker's edge cases: empty
+// universes, empty checkers, nil additions and single-context domains.
 func TestDifferentialEmptyAndDegenerate(t *testing.T) {
 	empty := NewSliceUniverse(nil)
 	ch := NewChecker()
-	if got := ch.CheckParallel(empty, 4); len(got) != 0 {
+	if got := ch.Check(empty); len(got) != 0 {
 		t.Fatalf("empty checker found %v", got)
 	}
 	ch.MustRegister(velocityConstraint("vel", 1, 1.5))
-	assertSameViolations(t, "empty universe", ch.Check(empty), ch.CheckParallel(empty, 4))
+	if got := ch.Check(empty); len(got) != 0 {
+		t.Fatalf("empty universe found %v", got)
+	}
 
 	one := mkLoc(t, "only", 1, 0, 0)
 	u := NewSliceUniverse([]*ctx.Context{one})
-	assertSameViolations(t, "one context", ch.Check(u), ch.CheckParallel(u, 8))
-	assertSameViolations(t, "one context addition",
-		ch.CheckAddition(u, one), ch.CheckAdditionParallel(u, one, 8))
+	if got := ch.Check(u); len(got) != 0 {
+		t.Fatalf("one context found %v", got)
+	}
+	if got := ch.CheckAddition(u, one); len(got) != 0 {
+		t.Fatalf("one context addition found %v", got)
+	}
 
-	if got := ch.CheckAdditionParallel(u, nil, 4); got != nil {
+	if got := ch.CheckAddition(u, nil); got != nil {
 		t.Fatalf("nil addition produced %v", got)
 	}
 }
 
-// TestParallelScenarioA re-runs the paper's Figure 1 Scenario A through the
-// parallel evaluator at several worker counts: the exact violation set the
-// serial checker reports (d2|d3, d3|d4) must come back unchanged.
-func TestParallelScenarioA(t *testing.T) {
-	ch := NewChecker()
-	ch.MustRegister(velocityConstraint("vel", 2, 1.5))
-	u, _ := figure1Universe(t)
-	want := ch.Check(u)
-	if len(want) != 4 {
-		t.Fatalf("serial baseline = %v", renderViolations(want))
-	}
-	for _, workers := range []int{2, 3, 4, 5, 8, 16} {
-		assertSameViolations(t, fmt.Sprintf("scenarioA workers %d", workers),
-			want, ch.CheckParallel(u, workers))
-	}
-}
-
-// TestCheckReportCounters validates the work-distribution report: sharded
-// root quantifiers dispatch multiple tasks, and additions of kinds no
-// constraint quantifies over prune the whole root domain.
-func TestCheckReportCounters(t *testing.T) {
-	ch := NewChecker()
-	ch.MustRegister(velocityConstraint("vel", 1, 1.5))
-	u, cs := figure1Universe(t)
-
-	_, rep := ch.CheckParallelReport(u, 4)
-	if rep.ShardsDispatched != 4 {
-		t.Fatalf("ShardsDispatched = %d, want 4 (5 bindings across 4 workers)", rep.ShardsDispatched)
-	}
-
-	_, rep = ch.CheckAdditionParallelReport(u, cs[2], 4)
-	if rep.ShardsDispatched != 4 || rep.BindingsPruned != 0 {
-		t.Fatalf("addition report = %+v", rep)
-	}
-
-	other := ctx.New(ctx.KindRFIDRead, t0, nil, ctx.WithID("r1"))
-	vios, rep := ch.CheckAdditionParallelReport(u, other, 4)
-	if len(vios) != 0 {
-		t.Fatalf("irrelevant addition found %v", vios)
-	}
-	if rep.ShardsDispatched != 0 || rep.BindingsPruned != 5 {
-		t.Fatalf("irrelevant addition report = %+v, want 0 shards / 5 pruned", rep)
-	}
-}
-
-// FuzzDifferentialParallel lets the fuzzer explore (seed, workers) pairs
+// FuzzCheckOrderInvariance lets the fuzzer explore (seed, shuffle) pairs
 // with the same generator the fixed sweep uses.
-func FuzzDifferentialParallel(f *testing.F) {
+func FuzzCheckOrderInvariance(f *testing.F) {
 	f.Add(int64(1), 1)
 	f.Add(int64(7), 4)
 	f.Add(int64(101), 8)
-	f.Fuzz(func(t *testing.T, seed int64, workers int) {
-		if workers < 1 || workers > 16 {
-			return
-		}
-		checkDifferential(t, seed, workers)
+	f.Fuzz(func(t *testing.T, seed int64, shuffle int) {
+		checkDifferential(t, seed, shuffle)
 	})
 }

@@ -251,34 +251,9 @@ func Forall(varName string, kind ctx.Kind, body Formula) Formula {
 }
 
 func (f *forall) eval(u Universe, env Env, pivot *ctx.Context) Result {
-	return f.evalDomain(u, env, pivot, u.ContextsOfKind(f.kind)).result()
-}
-
-// forallShard is the raw outcome of evaluating a forall body over a
-// contiguous sub-slice of its domain: links collected in binding order, not
-// yet deduplicated. The parallel evaluator partitions the domain into
-// shards, evaluates them concurrently, and merges shards by concatenation
-// in domain order, so the final deduplication sees links in exactly the
-// sequence the serial evaluator would produce.
-type forallShard struct {
-	sat, vio []Link
-	allSat   bool
-}
-
-// result finishes a (fully merged) shard into the forall's Result, applying
-// the same deduplication the serial evaluator performs.
-func (s forallShard) result() Result {
-	if s.allSat {
-		return Result{Satisfied: true, Links: dedupeLinks(s.sat)}
-	}
-	return Result{Satisfied: false, Links: dedupeLinks(s.vio)}
-}
-
-// evalDomain evaluates the forall body over the given slice of candidate
-// bindings (a contiguous sub-range of the quantifier's domain).
-func (f *forall) evalDomain(u Universe, env Env, pivot *ctx.Context, domain []*ctx.Context) forallShard {
-	out := forallShard{allSat: true}
-	for _, c := range domain {
+	var sat, vio []Link
+	allSat := true
+	for _, c := range u.ContextsOfKind(f.kind) {
 		env2 := env.clone()
 		env2[f.varName] = c
 		// Incremental pruning: if a pivot is set and neither this binding
@@ -294,13 +269,16 @@ func (f *forall) evalDomain(u Universe, env Env, pivot *ctx.Context, domain []*c
 		}
 		r := f.body.eval(u, env2, p)
 		if r.Satisfied {
-			out.sat = append(out.sat, r.Links...)
+			sat = append(sat, r.Links...)
 		} else {
-			out.allSat = false
-			out.vio = append(out.vio, r.Links...)
+			allSat = false
+			vio = append(vio, r.Links...)
 		}
 	}
-	return out
+	if allSat {
+		return Result{Satisfied: true, Links: dedupeLinks(sat)}
+	}
+	return Result{Satisfied: false, Links: dedupeLinks(vio)}
 }
 
 func (f *forall) collectKinds(kinds map[ctx.Kind]bool) {

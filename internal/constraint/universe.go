@@ -45,7 +45,7 @@ func NewSliceUniverse(contexts []*ctx.Context) *SliceUniverse {
 // chronological (ctx.ByTimestamp) order, skipping the indexing and sorting
 // NewSliceUniverse performs. The caller transfers ownership of the map and
 // its slices: they must not be mutated afterwards, making the result an
-// immutable snapshot safe for concurrent (parallel-checker) evaluation.
+// immutable snapshot safe to evaluate outside the pool's lock.
 // Pool kind indexes use this to snapshot the checking buffer cheaply.
 func NewPresortedUniverse(byKind map[ctx.Kind][]*ctx.Context) *SliceUniverse {
 	if byKind == nil {

@@ -16,8 +16,10 @@ func TestStatsExposeJournalUptimeAndCompaction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mw := middleware.New(velocityChecker(t), strategy.NewDropBad(),
-		middleware.WithJournal(j))
+	mw := middleware.New(velocityChecker(t), strategy.NewDropBad())
+	if err := mw.AttachJournal(j); err != nil {
+		t.Fatal(err)
+	}
 	srv, err := Serve("127.0.0.1:0", mw, nil,
 		WithSnapshotInterval(10*time.Millisecond),
 		WithCompactInterval(10*time.Millisecond))

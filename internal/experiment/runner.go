@@ -24,11 +24,6 @@ type RunResult struct {
 type RunOptions struct {
 	// Audited attaches a heuristic-rule audit (drop-bad case study).
 	Audited bool
-	// Parallelism is the checker worker count; <= 1 keeps the serial
-	// checker. The parallel checker is proven output-equivalent, so this
-	// must not change any measured outcome (pinned by
-	// TestParallelCheckerNoRegression).
-	Parallelism int
 }
 
 // RunOnce replays one workload through a fresh middleware configured with
@@ -51,12 +46,7 @@ func RunOnceOpts(spec AppSpec, w Workload, name StrategyName, rng *rand.Rand, op
 	}
 	collector := metrics.NewCollector()
 	engine := spec.NewEngine()
-	mwOpts := []middleware.Option{middleware.WithHooks(collector.Hooks())}
-	if opts.Parallelism > 1 {
-		mwOpts = append(mwOpts, middleware.WithCheckerOptions(
-			middleware.CheckerOptions{Parallelism: opts.Parallelism}))
-	}
-	m := middleware.New(spec.NewChecker(), strat, mwOpts...)
+	m := middleware.New(spec.NewChecker(), strat, middleware.WithHooks(collector.Hooks()))
 
 	// Clone the prototypes: life-cycle state is per-run.
 	cloned := make([][]*ctx.Context, len(w.Steps))
@@ -141,11 +131,6 @@ type GroupResult struct {
 // names (plus OPT-R if absent, as the baseline), normalizing each run
 // against OPT-R.
 func RunGroup(spec AppSpec, errRate float64, names []StrategyName, seed int64) (GroupResult, error) {
-	return RunGroupOpts(spec, errRate, names, seed, RunOptions{})
-}
-
-// RunGroupOpts is RunGroup with explicit run options.
-func RunGroupOpts(spec AppSpec, errRate float64, names []StrategyName, seed int64, opts RunOptions) (GroupResult, error) {
 	wlRNG := rand.New(rand.NewSource(seed))
 	w, err := spec.NewWorkload(errRate, wlRNG)
 	if err != nil {
@@ -171,9 +156,7 @@ func RunGroupOpts(spec AppSpec, errRate float64, names []StrategyName, seed int6
 	for _, n := range all {
 		// Strategy-internal randomness is seeded independently of the
 		// workload so every strategy sees the identical stream.
-		runOpts := opts
-		runOpts.Audited = false
-		res, err := RunOnceOpts(spec, w, n, rand.New(rand.NewSource(seed+1)), runOpts)
+		res, err := RunOnce(spec, w, n, rand.New(rand.NewSource(seed+1)), false)
 		if err != nil {
 			return GroupResult{}, err
 		}
@@ -197,9 +180,6 @@ type FigureConfig struct {
 	Seed int64
 	// Strategies are the compared strategies (default: the paper's four).
 	Strategies []StrategyName
-	// Parallelism is the checker worker count for every run; <= 1 keeps
-	// the serial checker (the default and the paper's configuration).
-	Parallelism int
 }
 
 // DefaultFigureConfig reproduces the paper's setting.
@@ -253,8 +233,7 @@ func RunFigure(spec AppSpec, cfg FigureConfig) (FigureResult, error) {
 		}
 		for g := 0; g < cfg.Groups; g++ {
 			seed := cfg.Seed + int64(ri*cfg.Groups+g)
-			group, err := RunGroupOpts(spec, rate, cfg.Strategies, seed,
-				RunOptions{Parallelism: cfg.Parallelism})
+			group, err := RunGroup(spec, rate, cfg.Strategies, seed)
 			if err != nil {
 				return FigureResult{}, fmt.Errorf("rate %.0f%% group %d: %w", rate*100, g, err)
 			}

@@ -1,7 +1,7 @@
 // Package integration wires the whole system together the way a deployment
-// would: workload generators → source runners → TCP daemon → middleware
-// with drop-bad → application clients using contexts and polling
-// situations.
+// would: workload generators → source goroutines over TCP → daemon →
+// middleware with drop-bad → application clients using contexts and
+// polling situations.
 package integration
 
 import (
@@ -16,7 +16,6 @@ import (
 	"ctxres/internal/experiment"
 	"ctxres/internal/middleware"
 	"ctxres/internal/simspace"
-	"ctxres/internal/source"
 	"ctxres/internal/strategy"
 )
 
@@ -32,7 +31,7 @@ func TestEndToEndCallForwarding(t *testing.T) {
 	defer srv.Shutdown()
 
 	// Generate the workload up front (ground truth retained), then stream
-	// it through a managed source over TCP.
+	// it over TCP from a source goroutine, one step every 500µs.
 	spec := experiment.CallForwardingApp()
 	w, err := spec.NewWorkload(0.2, rand.New(rand.NewSource(21)))
 	if err != nil {
@@ -47,22 +46,27 @@ func TestEndToEndCallForwarding(t *testing.T) {
 
 	var mu sync.Mutex
 	var submitted []*ctx.Context
-	submit := func(c *ctx.Context) error {
-		if _, err := sourceClient.Submit(c); err != nil {
-			return err
+	failed := 0
+	sourceDone := make(chan struct{})
+	go func() {
+		defer close(sourceDone)
+		tick := time.NewTicker(500 * time.Microsecond)
+		defer tick.Stop()
+		for _, step := range w.Steps {
+			for _, c := range step {
+				c = c.Clone()
+				_, err := sourceClient.Submit(c)
+				mu.Lock()
+				if err != nil {
+					failed++
+				} else {
+					submitted = append(submitted, c)
+				}
+				mu.Unlock()
+			}
+			<-tick.C
 		}
-		mu.Lock()
-		submitted = append(submitted, c)
-		mu.Unlock()
-		return nil
-	}
-	runner, err := source.NewRunner(source.Replay(w.Steps), submit, 500*time.Microsecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := runner.Start(); err != nil {
-		t.Fatal(err)
-	}
+	}()
 
 	// The application uses contexts from a second connection, trailing the
 	// source by a small window, and polls situations.
@@ -85,8 +89,7 @@ func TestEndToEndCallForwarding(t *testing.T) {
 		}
 		mu.Unlock()
 		if next == nil {
-			done, _ := runner.Stats()
-			if done >= w.Contexts() && cursor >= done-2 {
+			if avail >= w.Contexts() && cursor >= avail-2 {
 				break
 			}
 			time.Sleep(time.Millisecond)
@@ -106,14 +109,13 @@ func TestEndToEndCallForwarding(t *testing.T) {
 			}
 		}
 	}
-	runner.Stop()
+	<-sourceDone
 
-	nSubmitted, nFailed := runner.Stats()
-	if nFailed != 0 {
-		t.Fatalf("source failures: %d", nFailed)
+	if failed != 0 {
+		t.Fatalf("source failures: %d", failed)
 	}
-	if nSubmitted != w.Contexts() {
-		t.Fatalf("submitted %d of %d", nSubmitted, w.Contexts())
+	if len(submitted) != w.Contexts() {
+		t.Fatalf("submitted %d of %d", len(submitted), w.Contexts())
 	}
 	if used == 0 {
 		t.Fatal("application used nothing")
@@ -143,7 +145,7 @@ func TestEndToEndMultipleSources(t *testing.T) {
 	defer srv.Shutdown()
 
 	const subjects = 3
-	var runners []*source.Runner
+	var sources sync.WaitGroup
 	for s := 0; s < subjects; s++ {
 		client, err := daemon.Dial(srv.Addr().String(), 5*time.Second)
 		if err != nil {
@@ -151,43 +153,21 @@ func TestEndToEndMultipleSources(t *testing.T) {
 		}
 		t.Cleanup(func() { _ = client.Close() })
 		subject := string(rune('A' + s))
-		seq := uint64(0)
-		gen := source.GeneratorFunc(func(at time.Time) []*ctx.Context {
-			seq++
-			if seq > 30 {
-				return nil
+		sources.Add(1)
+		go func() {
+			defer sources.Done()
+			for seq := uint64(1); seq <= 30; seq++ {
+				c := ctx.NewLocation("p"+subject, time.Now(),
+					ctx.Point{X: float64(seq)},
+					ctx.WithSeq(seq), ctx.WithSource("src-"+subject))
+				if _, err := client.Submit(c); err != nil {
+					t.Errorf("subject %s submit %d: %v", subject, seq, err)
+				}
+				time.Sleep(time.Millisecond)
 			}
-			return []*ctx.Context{ctx.NewLocation("p"+subject, at,
-				ctx.Point{X: float64(seq)},
-				ctx.WithSeq(seq), ctx.WithSource("src-"+subject))}
-		})
-		r, err := source.NewRunner(gen, func(c *ctx.Context) error {
-			_, err := client.Submit(c)
-			return err
-		}, time.Millisecond)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := r.Start(); err != nil {
-			t.Fatal(err)
-		}
-		runners = append(runners, r)
+		}()
 	}
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		total := 0
-		for _, r := range runners {
-			n, _ := r.Stats()
-			total += n
-		}
-		if total >= subjects*30 {
-			break
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	for _, r := range runners {
-		r.Stop()
-	}
+	sources.Wait()
 	stats := mw.Stats()
 	if stats.Submitted != subjects*30 {
 		t.Fatalf("submitted = %d, want %d", stats.Submitted, subjects*30)

@@ -41,9 +41,6 @@ type Collector struct {
 
 	expired  int
 	detected int
-
-	shards         int
-	prunedBindings int
 }
 
 // NewCollector returns an empty collector.
@@ -58,7 +55,6 @@ func (c *Collector) Hooks() middleware.Hooks {
 		OnDiscard: c.onDiscard,
 		OnExpire:  c.onExpire,
 		OnDetect:  c.onDetect,
-		OnCheck:   c.onCheck,
 	}
 }
 
@@ -73,29 +69,6 @@ func (c *Collector) onDetect(constraint.Violation) {
 	c.mu.Lock()
 	c.detected++
 	c.mu.Unlock()
-}
-
-func (c *Collector) onCheck(rep constraint.CheckReport) {
-	c.mu.Lock()
-	c.shards += rep.ShardsDispatched
-	c.prunedBindings += rep.BindingsPruned
-	c.mu.Unlock()
-}
-
-// ShardsDispatched returns the total shard tasks the parallel checker
-// dispatched over the run (zero on the serial path).
-func (c *Collector) ShardsDispatched() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.shards
-}
-
-// BindingsPruned returns the total candidate bindings the kind index let
-// the parallel checker skip over the run (zero on the serial path).
-func (c *Collector) BindingsPruned() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.prunedBindings
 }
 
 func (c *Collector) onAccept(cc *ctx.Context) {

@@ -375,67 +375,20 @@ func (m *Middleware) observeHealthLocked(c *ctx.Context, detected int) {
 	m.health.Observe(c.Source, o, m.clock)
 }
 
-// checkOutcome is the result of one consistency-check computation.
-type checkOutcome struct {
-	vios     []constraint.Violation
-	rep      constraint.CheckReport
-	parallel bool
-}
-
-// checkComputeLocked snapshots everything the consistency check needs
-// while the lock is held and returns a closure that computes the check
-// without touching shared middleware state, so the watchdog can abandon
-// it mid-flight: an abandoned closure keeps evaluating over its immutable
-// universe copy, writes its result into a buffered channel nobody reads,
-// and exits.
-func (m *Middleware) checkComputeLocked(c *ctx.Context) func() checkOutcome {
-	if m.checkOpts.Parallelism <= 1 {
-		u := m.pool.CheckingUniverse()
-		return func() checkOutcome {
-			return checkOutcome{vios: m.checker.CheckAddition(u, c)}
-		}
-	}
-	if m.checkKinds == nil {
-		m.checkKinds = m.checker.Kinds()
-	}
-	u, pruned := m.pool.CheckingUniverseFor(m.checkKinds)
-	workers := m.checkOpts.Parallelism
-	return func() checkOutcome {
-		vios, rep := m.checker.CheckAdditionParallelReport(u, c, workers)
-		rep.BindingsPruned += pruned
-		return checkOutcome{vios: vios, rep: rep, parallel: true}
-	}
-}
-
-// applyCheckLocked folds a completed check's work-distribution report
-// into stats. The split from checkComputeLocked matters: only the
-// operation that still holds the lock may touch stats, never a check the
-// watchdog abandoned.
-func (m *Middleware) applyCheckLocked(out checkOutcome) []constraint.Violation {
-	if out.parallel {
-		m.stats.Shards += out.rep.ShardsDispatched
-		m.stats.PrunedBindings += out.rep.BindingsPruned
-		m.tel.shards.Add(uint64(out.rep.ShardsDispatched))
-		m.tel.pruned.Add(uint64(out.rep.BindingsPruned))
-		if m.hooks.OnCheck != nil {
-			m.hooks.OnCheck(out.rep)
-		}
-	}
-	return out.vios
-}
-
 // checkGuardedLocked runs the consistency check for one addition — under
-// the watchdog when one is configured, inline otherwise. With
-// Parallelism > 1 the check snapshots the checking buffer through the
-// pool's kind index and fans out across the worker pool; both paths
-// yield identical violations.
+// the watchdog when one is configured, inline otherwise. The universe is
+// copied while the lock is held, so the check touches no shared middleware
+// state and the watchdog can abandon it mid-flight: an abandoned check
+// keeps evaluating over its immutable copy, writes its result into a
+// buffered channel nobody reads, and exits.
 func (m *Middleware) checkGuardedLocked(c *ctx.Context) ([]constraint.Violation, error) {
-	compute := m.checkComputeLocked(c)
+	u := m.pool.CheckingUniverse()
+	compute := func() []constraint.Violation { return m.checker.CheckAddition(u, c) }
 	if m.wd.CheckTimeout <= 0 {
-		return m.applyCheckLocked(compute()), nil
+		return compute(), nil
 	}
 	type result struct {
-		out      checkOutcome
+		vios     []constraint.Violation
 		panicked any
 	}
 	ch := make(chan result, 1)
@@ -445,7 +398,7 @@ func (m *Middleware) checkGuardedLocked(c *ctx.Context) ([]constraint.Violation,
 				ch <- result{panicked: p}
 			}
 		}()
-		ch <- result{out: compute()}
+		ch <- result{vios: compute()}
 	}()
 	timer := time.NewTimer(m.wd.CheckTimeout)
 	defer timer.Stop()
@@ -454,7 +407,7 @@ func (m *Middleware) checkGuardedLocked(c *ctx.Context) ([]constraint.Violation,
 		if res.panicked != nil {
 			return nil, fmt.Errorf("consistency check panicked: %v: %w", res.panicked, ErrCheckFailed)
 		}
-		return m.applyCheckLocked(res.out), nil
+		return res.vios, nil
 	case <-timer.C:
 		return nil, fmt.Errorf("consistency check exceeded the %v watchdog: %w", m.wd.CheckTimeout, ErrCheckTimeout)
 	}

@@ -317,7 +317,7 @@ func TestGroupCommitDurabilityFailureFailsStop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := New(velocityChecker(t, 1, 1.5), strategy.NewDropBad(), WithJournal(j))
+	m := journaled(t, New(velocityChecker(t, 1, 1.5), strategy.NewDropBad()), j)
 	if _, err := m.Submit(loc("ok", 1, 0)); err != nil {
 		t.Fatalf("healthy submit: %v", err)
 	}
@@ -362,7 +362,7 @@ func TestSubmitBatchSharesCommit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := New(velocityChecker(t, 1, 1.5), strategy.NewDropBad(), WithJournal(j))
+	m := journaled(t, New(velocityChecker(t, 1, 1.5), strategy.NewDropBad()), j)
 
 	cs := make([]*ctx.Context, 0, 20)
 	for i := 0; i < 20; i++ {

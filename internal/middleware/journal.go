@@ -18,25 +18,14 @@ import (
 // attached.
 var ErrNoJournal = errors.New("middleware: no journal attached")
 
-// WithJournal attaches a write-ahead log at construction time. Every
-// state-changing operation appends its records to the journal before the
-// middleware lock is released; a write failure is sticky and fails all
-// further state-changing operations (fail-stop — the in-memory state never
-// runs ahead of what a recovery could reconstruct, except for the one
-// operation that observed the failure).
-func WithJournal(j *wal.Journal) Option {
-	return func(m *Middleware) {
-		if err := m.AttachJournal(j); err != nil {
-			// New cannot return an error; double-attach at construction is a
-			// programming error.
-			panic(err)
-		}
-	}
-}
-
-// AttachJournal attaches a write-ahead log to an already-built middleware
-// (the recovery path: Recover rebuilds state first, then the caller opens
-// the journal — which truncates any torn tail — and attaches it).
+// AttachJournal attaches a write-ahead log. Every state-changing operation
+// appends its records to the journal before the middleware lock is
+// released; a write failure is sticky and fails all further
+// state-changing operations (fail-stop — the in-memory state never runs
+// ahead of what a recovery could reconstruct, except for the one operation
+// that observed the failure). On the recovery path Recover rebuilds state
+// first, then the caller opens the journal — which truncates any torn
+// tail — and attaches it.
 func (m *Middleware) AttachJournal(j *wal.Journal) error {
 	if j == nil {
 		return errors.New("middleware: attach nil journal")
@@ -135,9 +124,7 @@ func (m *Middleware) journalCommitLocked(errp *error, wait *commitWait) {
 		seq, err := m.journal.Append(r)
 		if err != nil {
 			m.journalErr = err
-			if errp != nil && *errp == nil {
-				*errp = fmt.Errorf("middleware: journal append: %w", err)
-			}
+			surfaceJournalErr(errp, fmt.Errorf("middleware: journal append: %w", err))
 			return
 		}
 		if wait != nil && m.journal.GroupCommit() {
@@ -156,8 +143,7 @@ func (m *Middleware) journalCommitLocked(errp *error, wait *commitWait) {
 // released (register its defer before the unlock's). A durability failure
 // is recorded as the sticky journal error — the records may or may not
 // have reached the disk, so the log can no longer be trusted to match
-// acknowledged state — and surfaced through errp when no earlier error
-// claimed it.
+// acknowledged state — and surfaced through errp.
 func (m *Middleware) commitDurable(wait *commitWait, errp *error) {
 	if wait.j == nil {
 		return
@@ -188,9 +174,22 @@ func (m *Middleware) commitDurable(wait *commitWait, errp *error) {
 			m.journalErr = err
 		}
 		m.mu.Unlock()
-		if errp != nil && *errp == nil {
-			*errp = fmt.Errorf("middleware: journal commit: %w", err)
-		}
+		surfaceJournalErr(errp, fmt.Errorf("middleware: journal commit: %w", err))
+	}
+}
+
+// surfaceJournalErr reports a journal failure to the operation that
+// observed it. An operation that already failed may still have changed
+// state — a rejected use discards the context — so the journal error is
+// joined to its error rather than dropped: the caller must learn that the
+// change is not durable.
+func surfaceJournalErr(errp *error, jerr error) {
+	switch {
+	case errp == nil:
+	case *errp == nil:
+		*errp = jerr
+	default:
+		*errp = errors.Join(*errp, jerr)
 	}
 }
 

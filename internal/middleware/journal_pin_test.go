@@ -15,17 +15,19 @@ import (
 
 // scanPoolJournalDigest is the SHA-256 of every journal file the seeded
 // streams below produced at the last commit whose pool found expired
-// entries by scanning in insertion order. The pool's indexes must not
-// change a byte: the order of a sweep's RecordExpire records, and of the
-// discards a strategy answers them with, is part of the journal.
-const scanPoolJournalDigest = "ff30f7c81bf59dce94f01774d4706c881a3c1333c9687662b4b178868a164718"
+// entries by scanning in insertion order, with the two parallel-checker
+// counters (always zero here, since deleted from Stats) taken out of the
+// snapshot records' stats. The pool's indexes must not change a byte:
+// the order of a sweep's RecordExpire records, and of the discards a
+// strategy answers them with, is part of the journal.
+const scanPoolJournalDigest = "05d34c048c67be5c296eb6ce796171eb3c4585bd6d62888f00ef745bbef919bf"
 
 func TestJournalBytesMatchScanPool(t *testing.T) {
 	digest := sha256.New()
 	for seed := int64(1); seed <= 24; seed++ {
 		dir := t.TempDir()
-		m := New(velocityChecker(t, 2, 1.5), strategy.NewDropBad(),
-			WithSituations(presenceEngine()), WithJournal(openTestJournal(t, dir)))
+		m := journaled(t, New(velocityChecker(t, 2, 1.5), strategy.NewDropBad(),
+			WithSituations(presenceEngine())), openTestJournal(t, dir))
 		for i, o := range genWalOps(seed) {
 			if err := applyWalOp(m, o); err != nil {
 				t.Fatal(err)

@@ -32,10 +32,10 @@ func presenceEngine() *situation.Engine {
 func TestJournalSituationsCheckpointRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	var refEvents []string
-	m := New(velocityChecker(t, 1, 1.5), strategy.NewDropBad(),
+	m := journaled(t, New(velocityChecker(t, 1, 1.5), strategy.NewDropBad(),
 		WithSituations(presenceEngine()),
-		WithSituationHook(func(ev situation.Event) { refEvents = append(refEvents, ev.String()) }),
-		WithJournal(openTestJournal(t, dir)))
+		WithSituationHook(func(ev situation.Event) { refEvents = append(refEvents, ev.String()) })),
+		openTestJournal(t, dir))
 
 	if _, err := m.Submit(loc("d1", 1, 0, ctx.WithTTL(5*time.Second))); err != nil {
 		t.Fatal(err)
@@ -103,9 +103,8 @@ func TestJournalSituationsCheckpointRoundTrip(t *testing.T) {
 // the snapshot field exists to prevent.
 func TestRecoverSituationSnapshotNeedsEngine(t *testing.T) {
 	dir := t.TempDir()
-	m := New(velocityChecker(t, 1, 1.5), strategy.NewDropBad(),
-		WithSituations(presenceEngine()),
-		WithJournal(openTestJournal(t, dir)))
+	m := journaled(t, New(velocityChecker(t, 1, 1.5), strategy.NewDropBad(),
+		WithSituations(presenceEngine())), openTestJournal(t, dir))
 	if _, err := m.Submit(loc("d1", 1, 0)); err != nil {
 		t.Fatal(err)
 	}

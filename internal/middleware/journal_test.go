@@ -35,10 +35,19 @@ func openTestJournal(tb testing.TB, dir string) *wal.Journal {
 	return j
 }
 
+// journaled attaches j to m the way production does, after construction.
+func journaled(tb testing.TB, m *Middleware, j *wal.Journal) *Middleware {
+	tb.Helper()
+	if err := m.AttachJournal(j); err != nil {
+		tb.Fatal(err)
+	}
+	return m
+}
+
 func TestJournalRecoverRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	m := New(velocityChecker(t, 1, 1.5), strategy.NewDropBad(),
-		WithJournal(openTestJournal(t, dir)))
+	m := journaled(t, New(velocityChecker(t, 1, 1.5), strategy.NewDropBad()),
+		openTestJournal(t, dir))
 	for _, c := range scenarioA() {
 		if _, err := m.Submit(c); err != nil {
 			t.Fatal(err)
@@ -92,8 +101,8 @@ func TestJournalRecoverRoundTrip(t *testing.T) {
 
 func TestCheckpointBoundsReplay(t *testing.T) {
 	dir := t.TempDir()
-	m := New(velocityChecker(t, 1, 1.5), strategy.NewDropBad(),
-		WithJournal(openTestJournal(t, dir)))
+	m := journaled(t, New(velocityChecker(t, 1, 1.5), strategy.NewDropBad()),
+		openTestJournal(t, dir))
 	for _, c := range scenarioA() {
 		if _, err := m.Submit(c); err != nil {
 			t.Fatal(err)
@@ -145,8 +154,8 @@ func TestRecoverEmptyDirIsFresh(t *testing.T) {
 
 func TestRecoverStrategyMismatchFails(t *testing.T) {
 	dir := t.TempDir()
-	m := New(velocityChecker(t, 1, 1.5), strategy.NewDropBad(),
-		WithJournal(openTestJournal(t, dir)))
+	m := journaled(t, New(velocityChecker(t, 1, 1.5), strategy.NewDropBad()),
+		openTestJournal(t, dir))
 	if _, err := m.Submit(loc("a", 1, 0)); err != nil {
 		t.Fatal(err)
 	}
@@ -199,6 +208,34 @@ func crashOpenFile(budget *int64) func(string) (wal.File, error) {
 	}
 }
 
+// TestRejectedUseReportsJournalFailure pins the fail-stop contract for an
+// operation that also fails on its own: a rejected use still discards the
+// context, so when the journal dies under it the caller must see the
+// journal failure beside the rejection, or it would count a discard that
+// recovery cannot reproduce.
+func TestRejectedUseReportsJournalFailure(t *testing.T) {
+	budget := int64(1 << 20)
+	j, err := wal.Open(wal.Options{Dir: t.TempDir(), Fsync: wal.FsyncNever,
+		OpenFile: crashOpenFile(&budget)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := journaled(t, New(velocityChecker(t, 2, 1.5), strategy.NewDropBad()), j)
+	for _, c := range scenarioA() {
+		if _, err := m.Submit(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := m.Use("d1"); err != nil { // d3 becomes bad
+		t.Fatal(err)
+	}
+	budget = 0 // the disk dies before d3's rejection reaches it
+	_, err = m.Use("d3")
+	if !errors.Is(err, ErrInconsistent) || !errors.Is(err, errCrash) {
+		t.Fatalf("Use(d3) err = %v, want the rejection and the journal failure", err)
+	}
+}
+
 func TestJournalFailureFailsStop(t *testing.T) {
 	budget := int64(600)
 	j, err := wal.Open(wal.Options{Dir: t.TempDir(), Fsync: wal.FsyncNever,
@@ -206,7 +243,7 @@ func TestJournalFailureFailsStop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := New(velocityChecker(t, 1, 1.5), strategy.NewDropBad(), WithJournal(j))
+	m := journaled(t, New(velocityChecker(t, 1, 1.5), strategy.NewDropBad()), j)
 	var failed error
 	for i := 1; i <= 100; i++ {
 		if _, err := m.Submit(loc(fmt.Sprintf("c%d", i), uint64(i), 0)); err != nil {

@@ -9,8 +9,7 @@
 // carried by context timestamps, and all randomness lives in the sources
 // and strategies. Package internal/daemon layers the network serving path
 // on top: remote sources and applications drive these same entry points
-// over its line-delimited JSON protocol, and internal/source manages
-// long-running in-process producers.
+// over its line-delimited JSON protocol.
 package middleware
 
 import (
@@ -74,10 +73,6 @@ type Hooks struct {
 	OnDeliver func(c *ctx.Context)
 	// OnExpire fires when a buffered context expires before use.
 	OnExpire func(c *ctx.Context)
-	// OnCheck fires after each parallel consistency check with its
-	// work-distribution report (shards dispatched, bindings pruned). It
-	// does not fire on the serial path.
-	OnCheck func(rep constraint.CheckReport)
 }
 
 // Stats is a snapshot of middleware counters.
@@ -89,10 +84,6 @@ type Stats struct {
 	Rejected   int `json:"rejected"`  // uses refused as inconsistent
 	Expired    int `json:"expired"`
 	Situations int `json:"situations"` // activation events
-
-	// Parallel-checker counters (zero on the serial path).
-	Shards         int `json:"shards"`         // shard tasks dispatched to the worker pool
-	PrunedBindings int `json:"prunedBindings"` // candidate bindings skipped via the kind index
 
 	// Compaction counters (see Compact).
 	Compactions    int `json:"compactions"`    // Compact calls
@@ -112,8 +103,6 @@ type Middleware struct {
 	// (see WithSituationHook).
 	situationHook func(situation.Event)
 	hooks         Hooks
-	checkOpts     CheckerOptions
-	checkKinds    map[ctx.Kind]bool // cached checker.Kinds() for snapshot pruning
 	clock         time.Time
 	stats         Stats
 
@@ -160,31 +149,12 @@ type Middleware struct {
 	replaying   bool
 }
 
-// CheckerOptions configures how the middleware invokes the consistency
-// checker.
-type CheckerOptions struct {
-	// Parallelism is the worker count for the parallel binding evaluator.
-	// Values <= 1 keep the default serial checker; values > 1 run each
-	// submission's consistency check across that many workers over an
-	// immutable kind-indexed snapshot of the checking buffer. Both paths
-	// return byte-identical violations (see internal/constraint), so the
-	// choice is purely a throughput knob. Use
-	// constraint.DefaultParallelism() for a GOMAXPROCS-sized pool.
-	Parallelism int
-}
-
 // Option configures the middleware.
 type Option func(*Middleware)
 
 // WithHooks installs life-cycle hooks.
 func WithHooks(h Hooks) Option {
 	return func(m *Middleware) { m.hooks = h }
-}
-
-// WithCheckerOptions configures checker invocation (e.g. opts in the
-// parallel binding evaluator).
-func WithCheckerOptions(o CheckerOptions) Option {
-	return func(m *Middleware) { m.checkOpts = o }
 }
 
 // WithSituations installs a situation engine evaluated over the delivered

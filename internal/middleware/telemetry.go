@@ -49,8 +49,6 @@ type pipelineTelemetry struct {
 	rejected       *telemetry.Counter
 	expired        *telemetry.Counter
 	situations     *telemetry.Counter
-	shards         *telemetry.Counter
-	pruned         *telemetry.Counter
 	compactions    *telemetry.Counter
 	compactRemoved *telemetry.Counter
 
@@ -80,8 +78,6 @@ func newPipelineTelemetry(reg *telemetry.Registry, sink telemetry.SpanSink) pipe
 	t.rejected = reg.Counter("ctxres_rejected_total", "Uses refused as inconsistent.")
 	t.expired = reg.Counter("ctxres_expired_total", "Buffered contexts expired before use.")
 	t.situations = reg.Counter("ctxres_situations_total", "Situation activation events.")
-	t.shards = reg.Counter("ctxres_check_shards_total", "Shard tasks dispatched by the parallel checker.")
-	t.pruned = reg.Counter("ctxres_check_pruned_bindings_total", "Candidate bindings skipped via the kind index.")
 	t.compactions = reg.Counter("ctxres_compactions_total", "Compact calls.")
 	t.compactRemoved = reg.Counter("ctxres_compact_removed_total", "Pool entries dropped by compaction.")
 	t.deferredChecks = reg.Counter("ctxres_deferred_checks_total", "Submissions acknowledged with their consistency check deferred (degraded mode).")

@@ -51,11 +51,11 @@ func sumByPrefix(snap *telemetry.Snapshot, name string) float64 {
 	return sum
 }
 
-// TestTelemetryCountersMatchStats drives a journaled, parallel-checked
-// middleware through a deterministic stream and asserts the acceptance
-// criterion that the telemetry counters agree exactly with the Stats
-// snapshot (the stats op's numbers), that every pipeline stage histogram
-// observed something, and that spans carry the stage breakdown.
+// TestTelemetryCountersMatchStats drives a journaled middleware through a
+// deterministic stream and asserts the acceptance criterion that the
+// telemetry counters agree exactly with the Stats snapshot (the stats
+// op's numbers), that every pipeline stage histogram observed something,
+// and that spans carry the stage breakdown.
 func TestTelemetryCountersMatchStats(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	sink := &memSink{}
@@ -67,11 +67,9 @@ func TestTelemetryCountersMatchStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := New(velocityChecker(t, 2, 1.5), strategy.NewDropLatest(),
-		WithCheckerOptions(CheckerOptions{Parallelism: 2}),
+	m := journaled(t, New(velocityChecker(t, 2, 1.5), strategy.NewDropLatest(),
 		WithTelemetry(reg),
-		WithSpanSink(sink),
-		WithJournal(j))
+		WithSpanSink(sink)), j)
 	defer m.CloseJournal()
 
 	x := 0.0
@@ -111,8 +109,6 @@ func TestTelemetryCountersMatchStats(t *testing.T) {
 		{"ctxres_rejected_total", st.Rejected},
 		{"ctxres_expired_total", st.Expired},
 		{"ctxres_situations_total", st.Situations},
-		{"ctxres_check_shards_total", st.Shards},
-		{"ctxres_check_pruned_bindings_total", st.PrunedBindings},
 		{"ctxres_compactions_total", st.Compactions},
 		{"ctxres_compact_removed_total", st.CompactRemoved},
 		{"ctxres_discards_total", st.Discarded},
@@ -184,14 +180,13 @@ func TestTelemetryCountersMatchStats(t *testing.T) {
 }
 
 // TestTelemetryRaceStress hammers an instrumented middleware from many
-// goroutines with the parallel checker at parallelism 8 while a scraper
-// renders and validates the exposition — the acceptance criterion for
-// the race detector (the Makefile race target runs this package).
+// goroutines while a scraper renders and validates the exposition — the
+// acceptance criterion for the race detector (the Makefile race target
+// runs this package).
 func TestTelemetryRaceStress(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	sink := &memSink{}
 	m := New(velocityChecker(t, 2, 1.5), strategy.NewDropBad(),
-		WithCheckerOptions(CheckerOptions{Parallelism: 8}),
 		WithTelemetry(reg),
 		WithSpanSink(sink))
 

@@ -31,8 +31,8 @@ var testTrace = telemetry.TraceContext{
 func TestTracedSubmitStampsWALRecords(t *testing.T) {
 	dir := t.TempDir()
 	sink := &memSink{}
-	m := New(velocityChecker(t, 1, 1.5), strategy.NewDropBad(),
-		WithJournal(openTestJournal(t, dir)), WithSpanSink(sink))
+	m := journaled(t, New(velocityChecker(t, 1, 1.5), strategy.NewDropBad(),
+		WithSpanSink(sink)), openTestJournal(t, dir))
 
 	if _, err := m.SubmitOpts(loc("d1", 1, 0), SubmitOptions{Trace: testTrace}); err != nil {
 		t.Fatal(err)
@@ -86,8 +86,8 @@ func TestWalWaitSpanUnderGroupCommit(t *testing.T) {
 		t.Fatal(err)
 	}
 	sink := &memSink{}
-	m := New(velocityChecker(t, 1, 1.5), strategy.NewDropBad(),
-		WithJournal(j), WithSpanSink(sink))
+	m := journaled(t, New(velocityChecker(t, 1, 1.5), strategy.NewDropBad(),
+		WithSpanSink(sink)), j)
 
 	if _, err := m.SubmitOpts(loc("d1", 1, 0), SubmitOptions{Trace: testTrace}); err != nil {
 		t.Fatal(err)

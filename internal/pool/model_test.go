@@ -296,11 +296,10 @@ func sameViews(t testing.TB, step int, desc string, impl *Pool, model *modelPool
 	sameList(t, step, at("Delivered"), impl.Delivered(), model.Delivered())
 	full := constraint.NewSliceUniverse(model.Checking())
 	u := impl.CheckingUniverse()
-	some, pruned := impl.CheckingUniverseFor(map[ctx.Kind]bool{modelKinds[0]: true, modelKinds[2]: true})
-	if u.Len() != full.Len() || some.Len()+pruned != full.Len() {
-		t.Fatalf("step %d %s: universe sizes %d and %d+%d, model %d", step, desc, u.Len(), some.Len(), pruned, full.Len())
+	if u.Len() != full.Len() {
+		t.Fatalf("step %d %s: universe size %d, model %d", step, desc, u.Len(), full.Len())
 	}
-	for i, k := range modelKinds {
+	for _, k := range modelKinds {
 		ofKind := func(c *ctx.Context) bool { return c.Kind == k }
 		newestFirst := impl.AvailableByKind(k)
 		sameList(t, step, at("AvailableByKind "+string(k)), newestFirst, model.availableWhere(ofKind))
@@ -311,11 +310,6 @@ func sameViews(t testing.TB, step int, desc string, impl *Pool, model *modelPool
 			}
 		}
 		sameList(t, step, at("CheckingUniverse "+string(k)), u.ContextsOfKind(k), full.ContextsOfKind(k))
-		want := full.ContextsOfKind(k)
-		if i == 1 {
-			want = nil
-		}
-		sameList(t, step, at("CheckingUniverseFor "+string(k)), some.ContextsOfKind(k), want)
 		for _, s := range modelSubjects {
 			var newest *ctx.Context
 			if match := model.availableWhere(func(c *ctx.Context) bool { return ofKind(c) && (s == "" || c.Subject == s) }); len(match) > 0 {

@@ -398,39 +398,21 @@ func (p *Pool) inOrder(keep func(*entry) bool) []*ctx.Context {
 // Checking returns the checking buffer in insertion order.
 func (p *Pool) Checking() []*ctx.Context { return p.inOrder((*entry).inChecking) }
 
-// CheckingUniverse returns the checking buffer as a constraint universe.
+// CheckingUniverse snapshots the checking buffer as a constraint universe
+// using the kind index: no full-buffer scan, no re-sort (the index is
+// maintained in chronological order, the same total order
+// NewSliceUniverse sorts into). The returned universe is an immutable
+// copy, safe to evaluate while the pool keeps mutating.
 func (p *Pool) CheckingUniverse() *constraint.SliceUniverse {
-	u, _ := p.checkingUniverse(nil, true)
-	return u
-}
-
-// CheckingUniverseFor snapshots the checking buffer restricted to the given
-// kinds using the kind index: no full-buffer scan, no re-sort (the index is
-// maintained in chronological order, the same total order NewSliceUniverse
-// sorts into). The returned universe is an immutable copy, safe to evaluate
-// concurrently while the pool keeps mutating. The second result is the
-// number of checking contexts pruned — live contexts whose kind no
-// requested constraint quantifies over.
-func (p *Pool) CheckingUniverseFor(kinds map[ctx.Kind]bool) (*constraint.SliceUniverse, int) {
-	return p.checkingUniverse(kinds, false)
-}
-
-func (p *Pool) checkingUniverse(kinds map[ctx.Kind]bool, all bool) (*constraint.SliceUniverse, int) {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
 	byKind := make(map[ctx.Kind][]*ctx.Context, len(p.checking))
-	pruned := 0
 	for k, list := range p.checking {
-		if len(list) == 0 {
-			continue
+		if len(list) > 0 {
+			byKind[k] = p.contexts(list)
 		}
-		if !all && !kinds[k] {
-			pruned += len(list)
-			continue
-		}
-		byKind[k] = p.contexts(list)
 	}
-	return constraint.NewPresortedUniverse(byKind), pruned
+	return constraint.NewPresortedUniverse(byKind)
 }
 
 // Available returns the contexts applications may read, in insertion order.

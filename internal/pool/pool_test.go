@@ -314,54 +314,6 @@ func TestKindIndexTracksLifecycle(t *testing.T) {
 	}
 }
 
-// TestCheckingUniverseForMatchesFullUniverse asserts the kind-indexed
-// snapshot is byte-identical, per kind, to the full scan-and-sort snapshot,
-// and that it reports pruned contexts of unrequested kinds.
-func TestCheckingUniverseForMatchesFullUniverse(t *testing.T) {
-	p := New()
-	for i := 0; i < 12; i++ {
-		kind := ctx.KindLocation
-		if i%3 == 0 {
-			kind = ctx.KindRFIDRead
-		}
-		c := ctx.New(kind, t0.Add(time.Duration(i%4)*time.Second), nil,
-			ctx.WithID(ctx.ID("c"+string(rune('a'+i)))), ctx.WithSeq(uint64(i%2)))
-		if err := p.Add(c); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := p.MarkUsed("cb"); err != nil {
-		t.Fatal(err)
-	}
-
-	full := p.CheckingUniverse()
-	snap, pruned := p.CheckingUniverseFor(map[ctx.Kind]bool{ctx.KindLocation: true})
-	if pruned != 4 {
-		t.Fatalf("pruned = %d, want the 4 rfid contexts", pruned)
-	}
-	want := full.ContextsOfKind(ctx.KindLocation)
-	got := snap.ContextsOfKind(ctx.KindLocation)
-	if len(want) != len(got) {
-		t.Fatalf("snapshot has %d locations, full %d", len(got), len(want))
-	}
-	for i := range want {
-		if want[i].ID != got[i].ID {
-			t.Fatalf("position %d: snapshot %s, full %s", i, got[i].ID, want[i].ID)
-		}
-	}
-	if len(snap.ContextsOfKind(ctx.KindRFIDRead)) != 0 {
-		t.Fatal("pruned kind present in snapshot")
-	}
-
-	// The snapshot must stay stable while the pool keeps mutating.
-	if err := p.Discard(got[0].ID); err != nil {
-		t.Fatal(err)
-	}
-	if again := snap.ContextsOfKind(ctx.KindLocation); len(again) != len(got) {
-		t.Fatalf("snapshot mutated: %d contexts, was %d", len(again), len(got))
-	}
-}
-
 func TestRemoveRollsBackAdd(t *testing.T) {
 	p := New()
 	a, b := mk("a"), mk("b")
