@@ -43,15 +43,17 @@ func run() error {
 	})
 
 	// 2. A middleware with the drop-bad strategy and a hook to watch
-	// resolution decisions.
+	// resolution decisions: each operation hands it its events in order.
 	dropBad := strategy.NewDropBad()
-	mw := middleware.New(checker, dropBad, middleware.WithHooks(middleware.Hooks{
-		OnDetect: func(v constraint.Violation) {
-			fmt.Printf("  detected inconsistency %s\n", v)
-		},
-		OnDiscard: func(c *ctx.Context, reason middleware.DiscardReason) {
-			fmt.Printf("  discarded %s (%s)\n", c.ID, reason)
-		},
+	mw := middleware.New(checker, dropBad, middleware.WithHooks(func(evs []middleware.Event) {
+		for _, e := range evs {
+			switch e.Type {
+			case middleware.EventDetect:
+				fmt.Printf("  detected inconsistency %s\n", e.Violation)
+			case middleware.EventDiscard:
+				fmt.Printf("  discarded %s (%s)\n", e.Context.ID, e.Reason)
+			}
+		}
 	}))
 
 	// 3. The Figure 1 trace: Peter walks at 1 m/s, but the tracked

@@ -253,20 +253,21 @@ func Forall(varName string, kind ctx.Kind, body Formula) Formula {
 func (f *forall) eval(u Universe, env Env, pivot *ctx.Context) Result {
 	var sat, vio []Link
 	allSat := true
+	// Incremental pruning: if a pivot is set and neither this binding nor
+	// any enclosing binding nor any remaining quantifier can involve the
+	// pivot, the binding was already checked before the pivot arrived —
+	// skip it. Only "this binding" depends on the loop.
+	covered := pivot == nil || envContains(env, pivot)
+	below := !covered && quantifiesOverKind(f.body, pivot.Kind)
 	for _, c := range u.ContextsOfKind(f.kind) {
-		env2 := env.clone()
-		env2[f.varName] = c
-		// Incremental pruning: if a pivot is set and neither this binding
-		// nor any enclosing binding nor any remaining quantifier can
-		// involve the pivot, the binding was already checked before the
-		// pivot arrived — skip it.
 		p := pivot
-		if p != nil && (c.ID == p.ID || envContains(env, p)) {
+		if covered || c.ID == pivot.ID {
 			p = nil // pivot covered; evaluate body unrestricted
-		}
-		if p != nil && !quantifiesOverKind(f.body, p.Kind) {
+		} else if !below {
 			continue // binding cannot involve the pivot anywhere below
 		}
+		env2 := env.clone()
+		env2[f.varName] = c
 		r := f.body.eval(u, env2, p)
 		if r.Satisfied {
 			sat = append(sat, r.Links...)

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"time"
+	"unicode/utf8"
 )
 
 // ID uniquely identifies a context instance within a run.
@@ -83,6 +84,7 @@ var (
 	ErrNoKind      = errors.New("context has empty kind")
 	ErrNoTimestamp = errors.New("context has zero timestamp")
 	ErrBadTTL      = errors.New("context has negative ttl")
+	ErrNotUTF8     = errors.New("context text is not valid UTF-8")
 )
 
 // Context is one piece of environmental information. Fields hold the typed
@@ -182,7 +184,9 @@ func cloneFields(fields map[string]Value) map[string]Value {
 	return out
 }
 
-// Validate checks structural invariants.
+// Validate checks structural invariants. Text must be valid UTF-8: JSON,
+// on the wire and in the journal, replaces an invalid byte, so such a
+// context would not survive a round trip.
 func (c *Context) Validate() error {
 	switch {
 	case c.ID == "":
@@ -193,9 +197,20 @@ func (c *Context) Validate() error {
 		return ErrNoTimestamp
 	case c.TTL < 0:
 		return ErrBadTTL
-	default:
-		return nil
 	}
+	for _, t := range [...]struct{ name, s string }{
+		{"id", string(c.ID)}, {"kind", string(c.Kind)}, {"source", c.Source}, {"subject", c.Subject},
+	} {
+		if !utf8.ValidString(t.s) {
+			return fmt.Errorf("%w: %s %q", ErrNotUTF8, t.name, t.s)
+		}
+	}
+	for k, v := range c.Fields {
+		if !utf8.ValidString(k) || v.kind == KindString && !utf8.ValidString(v.str) {
+			return fmt.Errorf("%w: field %q", ErrNotUTF8, k)
+		}
+	}
+	return nil
 }
 
 // State returns the current life-cycle state.

@@ -66,6 +66,12 @@ func TestValidateErrors(t *testing.T) {
 		{"no kind", func(c *Context) { c.Kind = "" }, ErrNoKind},
 		{"no timestamp", func(c *Context) { c.Timestamp = time.Time{} }, ErrNoTimestamp},
 		{"bad ttl", func(c *Context) { c.TTL = -1 }, ErrBadTTL},
+		{"non-utf8 id", func(c *Context) { c.ID = "\xca" }, ErrNotUTF8},
+		{"non-utf8 kind", func(c *Context) { c.Kind = "\xca" }, ErrNotUTF8},
+		{"non-utf8 source", func(c *Context) { c.Source = "s\xff" }, ErrNotUTF8},
+		{"non-utf8 subject", func(c *Context) { c.Subject = "\xc3" }, ErrNotUTF8},
+		{"non-utf8 field key", func(c *Context) { c.Fields = map[string]Value{"\xca": Int(1)} }, ErrNotUTF8},
+		{"non-utf8 field value", func(c *Context) { c.Fields = map[string]Value{"x": String("\xca")} }, ErrNotUTF8},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

@@ -267,12 +267,10 @@ func TestShutdownDrainsInFlightRequest(t *testing.T) {
 	release := make(chan struct{})
 	started := make(chan struct{}, 1)
 	mw := middleware.New(velocityChecker(t), strategy.NewDropBad(),
-		middleware.WithHooks(middleware.Hooks{
-			OnAccept: func(c *ctx.Context) {
-				started <- struct{}{}
-				<-release
-			},
-		}))
+		middleware.WithHooks(onAccept(func() {
+			started <- struct{}{}
+			<-release
+		})))
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -53,7 +53,7 @@ func wantCode(t *testing.T, err error, code Code) {
 }
 
 // blockedServer brings up a server whose first submission parks inside
-// the OnAccept hook (holding the middleware lock and its pending slot)
+// the accept hook (holding the middleware lock and its pending slot)
 // until block is closed, plus a second client for concurrent requests.
 func blockedServer(t *testing.T, maxPending int) (c1, c2 *Client, started, block chan struct{}, firstDone chan error) {
 	t.Helper()
@@ -61,15 +61,13 @@ func blockedServer(t *testing.T, maxPending int) (c1, c2 *Client, started, block
 	block = make(chan struct{})
 	_, c1 = startServerWith(t,
 		middleware.WithAdmission(middleware.AdmissionOptions{MaxPending: maxPending}),
-		middleware.WithHooks(middleware.Hooks{
-			OnAccept: func(*ctx.Context) {
-				select {
-				case started <- struct{}{}:
-					<-block
-				default: // later accepts pass through
-				}
-			},
-		}))
+		middleware.WithHooks(onAccept(func() {
+			select {
+			case started <- struct{}{}:
+				<-block
+			default: // later accepts pass through
+			}
+		})))
 	// The protocol client serializes round trips, so the blocked submit
 	// and the shed submit need separate connections.
 	var err error

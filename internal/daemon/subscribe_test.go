@@ -605,20 +605,31 @@ func startWireServerWith(t *testing.T, opts ...Option) *Server {
 }
 
 // startSlowAcceptServer runs a server whose middleware parks every
-// submission inside the OnAccept hook for holdFor, simulating a slow
+// submission inside its accept hook for holdFor, simulating a slow
 // in-flight request for the drain tests.
 func startSlowAcceptServer(t *testing.T, holdFor time.Duration, opts ...Option) *Server {
 	t.Helper()
 	mw := middleware.New(velocityChecker(t), strategy.NewDropBad(),
-		middleware.WithHooks(middleware.Hooks{
-			OnAccept: func(*ctx.Context) { time.Sleep(holdFor) },
-		}))
+		middleware.WithHooks(onAccept(func() { time.Sleep(holdFor) })))
 	srv, err := Serve("127.0.0.1:0", mw, nil, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(srv.Shutdown)
 	return srv
+}
+
+// onAccept returns a middleware hook that calls f once for each operation
+// that accepted a submission.
+func onAccept(f func()) middleware.Hook {
+	return func(evs []middleware.Event) {
+		for _, e := range evs {
+			if e.Type == middleware.EventAccept {
+				f()
+				return
+			}
+		}
+	}
 }
 
 func decodeResponse(t *testing.T, body []byte) Response {

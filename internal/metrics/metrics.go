@@ -12,16 +12,14 @@ package metrics
 import (
 	"sync"
 
-	"ctxres/internal/constraint"
-	"ctxres/internal/ctx"
 	"ctxres/internal/middleware"
 	"ctxres/internal/stats"
 )
 
-// Collector accumulates counters from middleware hooks. Install it with
-// Hooks(); do not share one collector across middlewares.
+// Collector accumulates counters from the middleware's events. Install it
+// with Hooks(); do not share one collector across middlewares.
 //
-// The hooks themselves run under the middleware's lock, but readers (the
+// The hook itself runs under the middleware's lock, but readers (the
 // accessor methods and Snapshot) may be called from other goroutines —
 // a progress reporter or status endpoint polling mid-run — so every
 // field access goes through the collector's own mutex.
@@ -39,24 +37,14 @@ type Collector struct {
 	discardedExpected  int
 	discardedCorrupted int
 
-	expired  int
 	detected int
 }
 
 // NewCollector returns an empty collector.
 func NewCollector() *Collector { return &Collector{} }
 
-// Hooks returns middleware hooks that feed this collector. Compose with
-// other hooks manually if needed.
-func (c *Collector) Hooks() middleware.Hooks {
-	return middleware.Hooks{
-		OnAccept:  c.onAccept,
-		OnDeliver: c.onDeliver,
-		OnDiscard: c.onDiscard,
-		OnExpire:  c.onExpire,
-		OnDetect:  c.onDetect,
-	}
-}
+// Hooks returns the middleware hook that feeds this collector.
+func (c *Collector) Hooks() middleware.Hook { return c.observe }
 
 // Detected returns the number of inconsistencies the checker reported.
 func (c *Collector) Detected() int {
@@ -65,48 +53,38 @@ func (c *Collector) Detected() int {
 	return c.detected
 }
 
-func (c *Collector) onDetect(constraint.Violation) {
-	c.mu.Lock()
-	c.detected++
-	c.mu.Unlock()
-}
-
-func (c *Collector) onAccept(cc *ctx.Context) {
+// observe counts one operation's accepted, delivered, discarded and
+// detected events, split by ground truth where the metrics need it.
+func (c *Collector) observe(evs []middleware.Event) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if cc.Truth.Corrupted {
-		c.submittedCorrupted++
-	} else {
-		c.submittedExpected++
+	for i := range evs {
+		e := &evs[i]
+		switch e.Type {
+		case middleware.EventAccept:
+			if e.Context.Truth.Corrupted {
+				c.submittedCorrupted++
+			} else {
+				c.submittedExpected++
+			}
+		case middleware.EventDeliver:
+			c.usedTotal++
+			if e.Context.Truth.Corrupted {
+				c.usedCorrupted++
+			} else {
+				c.usedExpected++
+			}
+		case middleware.EventDiscard:
+			c.discardedTotal++
+			if e.Context.Truth.Corrupted {
+				c.discardedCorrupted++
+			} else {
+				c.discardedExpected++
+			}
+		case middleware.EventDetect:
+			c.detected++
+		}
 	}
-}
-
-func (c *Collector) onDeliver(cc *ctx.Context) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.usedTotal++
-	if cc.Truth.Corrupted {
-		c.usedCorrupted++
-	} else {
-		c.usedExpected++
-	}
-}
-
-func (c *Collector) onDiscard(cc *ctx.Context, _ middleware.DiscardReason) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.discardedTotal++
-	if cc.Truth.Corrupted {
-		c.discardedCorrupted++
-	} else {
-		c.discardedExpected++
-	}
-}
-
-func (c *Collector) onExpire(*ctx.Context) {
-	c.mu.Lock()
-	c.expired++
-	c.mu.Unlock()
 }
 
 // UsedContexts returns the number of successfully used contexts — the

@@ -137,9 +137,11 @@ func TestSnapshotAndNormalize(t *testing.T) {
 
 func TestSnapshotFields(t *testing.T) {
 	col := NewCollector()
-	col.onAccept(loc("a", 1, 0, false))
-	col.onDeliver(loc("a", 1, 0, false))
-	col.onDiscard(loc("b", 2, 9, true), middleware.ReasonOnAddition)
+	col.Hooks()([]middleware.Event{
+		{Type: middleware.EventAccept, Context: loc("a", 1, 0, false)},
+		{Type: middleware.EventDeliver, Context: loc("a", 1, 0, false)},
+		{Type: middleware.EventDiscard, Context: loc("b", 2, 9, true), Reason: middleware.ReasonOnAddition},
+	})
 	r := col.Snapshot(3)
 	if r.UsedContexts != 1 || r.Activations != 3 || r.DiscardedContexts != 1 {
 		t.Fatalf("Snapshot = %+v", r)

@@ -26,7 +26,6 @@ package middleware
 import (
 	"errors"
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"ctxres/internal/constraint"
@@ -35,7 +34,6 @@ import (
 	"ctxres/internal/pool"
 	"ctxres/internal/strategy"
 	"ctxres/internal/telemetry"
-	"ctxres/internal/wal"
 )
 
 // Admission and watchdog errors. The daemon maps each to a typed protocol
@@ -134,24 +132,11 @@ func WithHealth(t *health.Tracker) Option {
 	return func(m *Middleware) { m.health = t }
 }
 
-// resilienceCounters are the overload-control counters. They are atomics
-// because queue-full shedding happens before the middleware lock is
-// taken; they are deliberately NOT part of the journaled Stats struct —
-// shed and quarantined submissions never reach the log, so a recovery
-// cross-check against them could never balance.
-type resilienceCounters struct {
-	overloadShed   atomic.Int64
-	deadlineShed   atomic.Int64
-	quarantined    atomic.Int64
-	deferredChecks atomic.Int64
-	catchUps       atomic.Int64
-	degradedEnters atomic.Int64
-	checkTimeouts  atomic.Int64
-	checkPanics    atomic.Int64
-}
-
 // ResilienceStats is a snapshot of the overload-control counters (all
-// zero unless the corresponding mechanisms are enabled).
+// zero unless the corresponding mechanisms are enabled). They are
+// deliberately NOT part of the journaled Stats struct — shed and
+// quarantined submissions never reach the log, so a recovery cross-check
+// against them could never balance.
 type ResilienceStats struct {
 	// OverloadShed counts submissions shed because the pending queue was
 	// full; DeadlineShed those shed because the client deadline had
@@ -181,19 +166,12 @@ type ResilienceStats struct {
 func (m *Middleware) Resilience() ResilienceStats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return ResilienceStats{
-		OverloadShed:    m.res.overloadShed.Load(),
-		DeadlineShed:    m.res.deadlineShed.Load(),
-		Quarantined:     m.res.quarantined.Load(),
-		DeferredChecks:  m.res.deferredChecks.Load(),
-		CatchUps:        m.res.catchUps.Load(),
-		DegradedEnters:  m.res.degradedEnters.Load(),
-		CheckTimeouts:   m.res.checkTimeouts.Load(),
-		CheckPanics:     m.res.checkPanics.Load(),
-		Degraded:        m.degraded,
-		DeferredPending: len(m.deferredQ),
-		Pending:         int(m.pending.Load()),
-	}
+	rs := m.res
+	rs.OverloadShed = m.queueShed.Load()
+	rs.Degraded = m.degraded
+	rs.DeferredPending = len(m.deferredQ)
+	rs.Pending = int(m.pending.Load())
+	return rs
 }
 
 // HealthSnapshot returns the health tracker's per-source scores, or nil
@@ -206,13 +184,6 @@ func (m *Middleware) HealthSnapshot() *health.Snapshot {
 	return &s
 }
 
-// Degraded reports whether consistency checking is currently deferred.
-func (m *Middleware) Degraded() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.degraded
-}
-
 // admit applies the pending-submit cap before the lock is taken, so a
 // full queue sheds in O(1) without joining it. It returns the release
 // function that retires this operation from the count.
@@ -223,8 +194,7 @@ func (m *Middleware) admit() (release func(), err error) {
 	n := m.pending.Add(1)
 	if m.adm.MaxPending > 0 && int(n) > m.adm.MaxPending {
 		m.pending.Add(-1)
-		m.res.overloadShed.Add(1)
-		m.tel.shed.With("queue").Inc()
+		m.account([]Event{{Type: EventShed, Cause: "queue"}})
 		return nil, fmt.Errorf("queue full (%d pending, cap %d): %w", n-1, m.adm.MaxPending, ErrOverloaded)
 	}
 	return func() { m.pending.Add(-1) }, nil
@@ -239,8 +209,7 @@ func (m *Middleware) gateLocked(c *ctx.Context, so SubmitOptions) error {
 		return nil
 	}
 	if !so.Deadline.IsZero() && time.Now().After(so.Deadline) {
-		m.res.deadlineShed.Add(1)
-		m.tel.shed.With("deadline").Inc()
+		m.emit(Event{Type: EventShed, Cause: "deadline"})
 		return fmt.Errorf("submit %s: client deadline passed before processing began: %w", c.ID, ErrOverloaded)
 	}
 	if m.health != nil {
@@ -251,7 +220,7 @@ func (m *Middleware) gateLocked(c *ctx.Context, so SubmitOptions) error {
 		if !m.health.Allow(c.Source, now) {
 			// Dropped before any state change or journal record, so the
 			// quarantine is invisible to recovery.
-			m.res.quarantined.Add(1)
+			m.emit(Event{Type: EventShed, Cause: "quarantine"})
 			return fmt.Errorf("submit %s: source %q: %w", c.ID, c.Source, ErrQuarantined)
 		}
 	}
@@ -260,10 +229,9 @@ func (m *Middleware) gateLocked(c *ctx.Context, so SubmitOptions) error {
 		switch {
 		case !m.degraded && pending >= m.adm.DegradeAt:
 			m.degraded = true
-			m.res.degradedEnters.Add(1)
-			m.tel.degraded.Set(1)
+			m.emit(Event{Type: EventDegrade})
 		case m.degraded && pending <= m.adm.resumeAt():
-			if err := m.catchUpLocked(m.curSpan); err != nil {
+			if err := m.catchUpLocked(); err != nil {
 				return err
 			}
 		}
@@ -280,11 +248,11 @@ type deferredSubmit struct {
 }
 
 // deferSubmitLocked acknowledges a submission in degraded mode: the
-// context is counted, journaled, and queued, but not added to the pool
-// and not checked. Journaling the submit record at acknowledgement time
-// is sound because a recovery replays it through the eager-checking path,
-// which the catch-up equivalence makes identical to what catch-up will
-// build.
+// context is queued and its defer event counts and journals it, but it is
+// not added to the pool and not checked. Journaling the submit record at
+// acknowledgement time is sound because a recovery replays it through the
+// eager-checking path, which the catch-up equivalence makes identical to
+// what catch-up will build.
 func (m *Middleware) deferSubmitLocked(c *ctx.Context) error {
 	// Duplicates must surface now, exactly as the inline path's pool
 	// insertion would have reported them.
@@ -294,16 +262,12 @@ func (m *Middleware) deferSubmitLocked(c *ctx.Context) error {
 	if c.Timestamp.After(m.clock) {
 		m.clock = c.Timestamp
 	}
-	m.stats.Submitted++
-	m.tel.submits.Inc()
-	m.jAppend(wal.Record{Type: wal.RecordSubmit, Context: c})
+	m.emit(Event{Type: EventDefer, Context: c})
 	if m.deferredIDs == nil {
 		m.deferredIDs = make(map[ctx.ID]bool)
 	}
 	m.deferredIDs[c.ID] = true
 	m.deferredQ = append(m.deferredQ, deferredSubmit{c: c, clock: m.clock})
-	m.res.deferredChecks.Add(1)
-	m.tel.deferredChecks.Inc()
 	return nil
 }
 
@@ -312,7 +276,7 @@ func (m *Middleware) deferSubmitLocked(c *ctx.Context) error {
 // to each entry's acknowledgement-time clock first — the exact operation
 // sequence the always-check path would have executed. A watchdog abort on
 // one entry does not stop the rest; the first error is returned.
-func (m *Middleware) catchUpLocked(sp *telemetry.Span) error {
+func (m *Middleware) catchUpLocked() error {
 	if !m.degraded && len(m.deferredQ) == 0 {
 		return nil
 	}
@@ -320,16 +284,11 @@ func (m *Middleware) catchUpLocked(sp *telemetry.Span) error {
 	m.deferredQ = nil
 	m.deferredIDs = nil
 	m.degraded = false
-	m.tel.degraded.Set(0)
-	if len(batch) == 0 {
-		return nil
-	}
-	m.res.catchUps.Add(1)
-	m.tel.catchups.Inc()
+	m.emit(Event{Type: EventCatchUp, N: len(batch)})
 	var firstErr error
 	for _, d := range batch {
 		m.sweepAtLocked(d.clock)
-		if _, err := m.processSubmitLocked(d.c, sp, true); err != nil && firstErr == nil {
+		if _, err := m.processSubmitLocked(d.c, true); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
@@ -345,34 +304,13 @@ func (m *Middleware) CatchUp() (err error) {
 	defer m.commitDurable(&wait, &err)
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	sp := m.tel.startSpan("catchup", "", opStart, telemetry.TraceContext{})
-	m.curSpan = sp
-	defer func() {
-		outcome := "caught-up"
-		if err != nil {
-			outcome = "error"
-		}
-		m.tel.opDone("catchup", opStart, sp, outcome)
-		m.curSpan = nil
-	}()
-	defer m.journalCommitLocked(&err, &wait)
+	m.curSpan = m.tel.startSpan("catchup", "", opStart, telemetry.TraceContext{})
+	defer func() { m.opDone("catchup", opStart, outcome(err, "caught-up")) }()
+	defer m.flushLocked(&err, &wait)
 	if err := m.journalHealthLocked(); err != nil {
 		return err
 	}
-	return m.catchUpLocked(sp)
-}
-
-// observeHealthLocked feeds one submission's check outcome to the health
-// tracker.
-func (m *Middleware) observeHealthLocked(c *ctx.Context, detected int) {
-	if m.health == nil {
-		return
-	}
-	o := health.OK
-	if detected > 0 {
-		o = health.Inconsistent
-	}
-	m.health.Observe(c.Source, o, m.clock)
+	return m.catchUpLocked()
 }
 
 // checkGuardedLocked runs the consistency check for one addition — under
@@ -443,57 +381,17 @@ func (m *Middleware) resolveUseLocked(c *ctx.Context) (usable bool, out strategy
 }
 
 // rollbackSubmitLocked unwinds a submission whose check or resolution the
-// watchdog aborted. For an inline submission nothing was counted or
-// journaled yet (the fallible stages run first), so removing the context
-// from the pool and journaling a check-fail annotation restores exactly
-// the state a recovery would reconstruct. For a deferred submission the
-// submit record is already committed, so the journal is fail-stopped
-// rather than left claiming a context the live state dropped.
+// watchdog aborted. For an inline submission no accept event exists yet
+// (the fallible stages run first), so removing the context from the pool
+// and journaling a check-fail annotation restores exactly the state a
+// recovery would reconstruct. For a deferred submission the submit record
+// is already committed, so the journal is fail-stopped rather than left
+// claiming a context the live state dropped.
 func (m *Middleware) rollbackSubmitLocked(c *ctx.Context, deferred bool, cause error) error {
 	_ = m.pool.Remove(c.ID)
-	m.deltaMark(c.Kind)
-	m.jAppend(wal.Record{Type: wal.RecordCheckFail, ID: c.ID, Reason: cause.Error()})
-	if errors.Is(cause, ErrCheckTimeout) {
-		m.res.checkTimeouts.Add(1)
-		m.tel.checkAborts.With("timeout").Inc()
-	} else {
-		m.res.checkPanics.Add(1)
-		m.tel.checkAborts.With("panic").Inc()
-	}
-	if deferred {
-		m.stats.Submitted--
-		if m.journal != nil && m.journalErr == nil {
-			m.journalErr = fmt.Errorf("deferred submission %s aborted after its record was journaled: %v", c.ID, cause)
-		}
+	m.emit(Event{Type: EventCheckAbort, Context: c, Err: cause, Deferred: deferred})
+	if deferred && m.journal != nil && m.journalErr == nil {
+		m.journalErr = fmt.Errorf("deferred submission %s aborted after its record was journaled: %v", c.ID, cause)
 	}
 	return fmt.Errorf("submit %s: %w", c.ID, cause)
-}
-
-// dropBufferedRecordLocked removes the newest queued-but-uncommitted
-// record of the given type and ID from the operation's journal buffer
-// (the use-path rollback: the use record is queued before the strategy
-// runs, and an aborted strategy must not leave it behind).
-func (m *Middleware) dropBufferedRecordLocked(typ wal.RecordType, id ctx.ID) {
-	for i := len(m.jbuf) - 1; i >= 0; i-- {
-		if m.jbuf[i].Type == typ && m.jbuf[i].ID == id {
-			m.jbuf = append(m.jbuf[:i], m.jbuf[i+1:]...)
-			return
-		}
-	}
-}
-
-// submitErrOutcome maps a submit error to its span outcome label.
-func submitErrOutcome(err error) string {
-	switch {
-	case errors.Is(err, ErrOverloaded):
-		return "overloaded"
-	case errors.Is(err, ErrQuarantined):
-		return "quarantined"
-	case errors.Is(err, ErrCheckTimeout):
-		return "check-timeout"
-	case errors.Is(err, ErrCheckFailed):
-		return "check-panic"
-	default:
-		return "error"
-	}
 }

@@ -68,7 +68,7 @@ func TestAdmissionQueueShed(t *testing.T) {
 	started := make(chan struct{}, 2)
 	m := New(velocityChecker(t, 1, 1.5), strategy.NewDropLatest(),
 		WithAdmission(AdmissionOptions{MaxPending: 2}),
-		WithHooks(Hooks{OnAccept: func(*ctx.Context) { started <- struct{}{}; <-block }}))
+		WithHooks(on(EventAccept, func(Event) { started <- struct{}{}; <-block })))
 	done := make(chan error, 2)
 	go func() { _, err := m.Submit(loc("q1", 1, 0)); done <- err }()
 	<-started // q1 now blocks inside its hook, holding the middleware lock
@@ -132,7 +132,7 @@ func TestDegradedDifferential(t *testing.T) {
 	// Phase 1: same workload into both; the lazy run defers everything.
 	submitAll(t, eager, jitterWorkload())
 	submitAll(t, lazy, jitterWorkload())
-	if !lazy.Degraded() {
+	if !lazy.Resilience().Degraded {
 		t.Fatal("lazy middleware never degraded")
 	}
 	if lazy.Resilience().DeferredChecks == 0 {
@@ -141,7 +141,7 @@ func TestDegradedDifferential(t *testing.T) {
 	if err := lazy.CatchUp(); err != nil {
 		t.Fatal(err)
 	}
-	if lazy.Degraded() {
+	if lazy.Resilience().Degraded {
 		t.Fatal("still degraded after catch-up")
 	}
 	if e, l := durableFingerprint(t, eager), durableFingerprint(t, lazy); e != l {
@@ -182,14 +182,14 @@ func TestDegradedReadForcesCatchUp(t *testing.T) {
 	if _, err := m.Submit(c); err != nil {
 		t.Fatal(err)
 	}
-	if !m.Degraded() || m.Pool().Len() != 0 {
-		t.Fatalf("degraded=%v poolLen=%d, want deferred acknowledgement", m.Degraded(), m.Pool().Len())
+	if !m.Resilience().Degraded || m.Pool().Len() != 0 {
+		t.Fatalf("degraded=%v poolLen=%d, want deferred acknowledgement", m.Resilience().Degraded, m.Pool().Len())
 	}
 	got, err := m.Use(c.ID)
 	if err != nil || got.ID != c.ID {
 		t.Fatalf("use after deferral: %v, %v", got, err)
 	}
-	if m.Degraded() {
+	if m.Resilience().Degraded {
 		t.Fatal("read did not force catch-up")
 	}
 	if rs := m.Resilience(); rs.CatchUps != 1 || rs.DeferredPending != 0 {
@@ -378,14 +378,14 @@ func TestDegradedJournalRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	submitAll(t, m, jitterWorkload())
-	if !m.Degraded() {
+	if !m.Resilience().Degraded {
 		t.Fatal("never degraded")
 	}
 	// CloseJournal must catch up before the final stats annotation.
 	if err := m.CloseJournal(); err != nil {
 		t.Fatal(err)
 	}
-	if m.Degraded() {
+	if m.Resilience().Degraded {
 		t.Fatal("CloseJournal did not catch up")
 	}
 	rec, rep, err := Recover(dir, build)
@@ -418,7 +418,7 @@ func TestDegradedCheckpoint(t *testing.T) {
 	if err := m.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if m.Degraded() {
+	if m.Resilience().Degraded {
 		t.Fatal("Checkpoint did not catch up")
 	}
 	submitAll(t, m, work[20:])
@@ -484,7 +484,7 @@ func TestDefaultsUnchanged(t *testing.T) {
 	if rs := m.Resilience(); rs != (ResilienceStats{}) {
 		t.Fatalf("resilience = %+v, want zero value", rs)
 	}
-	if m.Degraded() {
+	if m.Resilience().Degraded {
 		t.Fatal("degraded without admission options")
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"time"
 
-	"ctxres/internal/ctx"
 	"ctxres/internal/pool"
 	"ctxres/internal/situation"
 	"ctxres/internal/strategy"
@@ -37,14 +36,6 @@ func (m *Middleware) AttachJournal(j *wal.Journal) error {
 	}
 	m.journal = j
 	m.journalErr = nil
-	if bn, ok := m.strat.(strategy.BadMarkNotifier); ok {
-		// Bad-marking is a strategy-internal mutation the middleware never
-		// sees; the hook journals it as an annotation. It fires inside
-		// strat.OnUse, i.e. under the middleware lock.
-		bn.SetBadMarkHook(func(c *ctx.Context) {
-			m.jAppend(wal.Record{Type: wal.RecordBad, ID: c.ID})
-		})
-	}
 	return nil
 }
 
@@ -61,20 +52,6 @@ func (m *Middleware) JournalStats() *wal.Stats {
 	return &s
 }
 
-// jAppend queues a record for the current operation. It must be called
-// with the lock held; the records are flushed to the journal by
-// journalCommitLocked before the operation returns.
-func (m *Middleware) jAppend(r wal.Record) {
-	if m.journal == nil || m.journalErr != nil {
-		return
-	}
-	if sp := m.curSpan; sp != nil && sp.TraceID != "" {
-		r.TraceID = sp.TraceID
-		r.SpanID = sp.SpanID
-	}
-	m.jbuf = append(m.jbuf, r)
-}
-
 // journalHealthLocked refuses state-changing operations once the journal
 // has failed (fail-stop).
 func (m *Middleware) journalHealthLocked() error {
@@ -85,7 +62,7 @@ func (m *Middleware) journalHealthLocked() error {
 }
 
 // commitWait carries one operation's durability obligation past the
-// middleware lock. Under group commit, journalCommitLocked records the
+// middleware lock. Under group commit, appendLocked records the
 // highest sequence the operation appended here instead of waiting for the
 // fsync inline; commitDurable — deferred before the lock's own defer, so
 // (LIFO) it runs after the unlock — then blocks on the shared fsync. That
@@ -104,38 +81,32 @@ type commitWait struct {
 	sink  telemetry.SpanSink
 }
 
-// journalCommitLocked appends the operation's queued records to the
-// journal. On a write failure the error is recorded as sticky and, when
-// errp points at a nil error, surfaced to the caller. Under group commit
-// the records are written but not yet synced; the operation's durability
-// point moves to commitDurable via wait.
-func (m *Middleware) journalCommitLocked(errp *error, wait *commitWait) {
-	if m.journal == nil || len(m.jbuf) == 0 {
-		return
+// appendLocked appends one record of the current operation to the
+// journal, stamped with the operation's trace. On a write failure the
+// error is recorded as sticky, surfaced through errp, and false returned.
+// Under group commit the record is written but not yet synced; the
+// operation's durability point moves to commitDurable via wait.
+func (m *Middleware) appendLocked(r wal.Record, errp *error, wait *commitWait) bool {
+	sp := m.curSpan
+	if sp != nil && sp.TraceID != "" {
+		r.TraceID = sp.TraceID
+		r.SpanID = sp.SpanID
 	}
-	recs := m.jbuf
-	m.jbuf = m.jbuf[:0]
-	if m.journalErr != nil {
-		return
+	seq, err := m.journal.Append(r)
+	if err != nil {
+		m.journalErr = err
+		surfaceJournalErr(errp, fmt.Errorf("middleware: journal append: %w", err))
+		return false
 	}
-	start := m.tel.now()
-	defer func() { m.tel.stageDone(m.curSpan, telemetry.StageJournal, start) }()
-	for _, r := range recs {
-		seq, err := m.journal.Append(r)
-		if err != nil {
-			m.journalErr = err
-			surfaceJournalErr(errp, fmt.Errorf("middleware: journal append: %w", err))
-			return
-		}
-		if wait != nil && m.journal.GroupCommit() {
-			wait.j = m.journal
-			wait.seq = seq
-			if sp := m.curSpan; sp != nil && sp.TraceID != "" && m.tel.sink != nil {
-				wait.trace = telemetry.TraceContext{TraceID: sp.TraceID, SpanID: sp.SpanID}
-				wait.sink = m.tel.sink
-			}
+	if wait != nil && m.journal.GroupCommit() {
+		wait.j = m.journal
+		wait.seq = seq
+		if sp != nil && sp.TraceID != "" && m.tel.sink != nil {
+			wait.trace = telemetry.TraceContext{TraceID: sp.TraceID, SpanID: sp.SpanID}
+			wait.sink = m.tel.sink
 		}
 	}
+	return true
 }
 
 // commitDurable discharges a commitWait: it blocks until every record the
@@ -204,11 +175,7 @@ func (m *Middleware) snapshotLocked(seq uint64) (wal.Snapshot, error) {
 		Strategy: m.strat.Name(),
 		Pool:     m.pool.Snapshot(),
 	}
-	stats, err := json.Marshal(m.stats)
-	if err != nil {
-		return wal.Snapshot{}, fmt.Errorf("middleware: snapshot stats: %w", err)
-	}
-	snap.Stats = stats
+	snap.Stats, _ = json.Marshal(m.stats) // integers only: cannot fail
 	if sn, ok := m.strat.(strategy.StateSnapshotter); ok {
 		blob, err := sn.StrategyState()
 		if err != nil {
@@ -245,15 +212,12 @@ func (m *Middleware) Fingerprint() (string, error) {
 	return string(data), nil
 }
 
-// statsRecordLocked queues a stats annotation carrying the current
-// counters, so recovery can cross-check the replayed state.
-func (m *Middleware) statsRecordLocked() error {
-	blob, err := json.Marshal(m.stats)
-	if err != nil {
-		return fmt.Errorf("middleware: marshal stats: %w", err)
-	}
-	m.jAppend(wal.Record{Type: wal.RecordStats, Stats: blob})
-	return nil
+// appendStatsLocked journals a stats annotation carrying the current
+// counters, so recovery can cross-check the replayed state. The
+// operation's events must be flushed first, so the counters include them.
+func (m *Middleware) appendStatsLocked(errp *error, wait *commitWait) {
+	blob, _ := json.Marshal(m.stats) // integers only: cannot fail
+	m.appendLocked(wal.Record{Type: wal.RecordStats, Stats: blob}, errp, wait)
 }
 
 // Checkpoint writes a snapshot of the full middleware state to the
@@ -264,7 +228,7 @@ func (m *Middleware) Checkpoint() (err error) {
 	defer m.commitDurable(&wait, &err)
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	defer m.journalCommitLocked(&err, &wait)
+	defer m.flushLocked(&err, &wait)
 	if m.journal == nil {
 		return ErrNoJournal
 	}
@@ -273,8 +237,11 @@ func (m *Middleware) Checkpoint() (err error) {
 	}
 	// Deferred checks must land before the snapshot: the snapshot covers
 	// their already-committed submit records, so it must also contain
-	// their effects.
-	if err := m.catchUpLocked(nil); err != nil {
+	// their effects, counters included.
+	if err := m.catchUpLocked(); err != nil {
+		return err
+	}
+	if m.flushLocked(&err, &wait); err != nil {
 		return err
 	}
 	snap, err := m.snapshotLocked(m.journal.LastSeq())
@@ -285,7 +252,8 @@ func (m *Middleware) Checkpoint() (err error) {
 		m.journalErr = err
 		return fmt.Errorf("middleware: checkpoint: %w", err)
 	}
-	return m.statsRecordLocked()
+	m.appendStatsLocked(&err, &wait)
+	return err
 }
 
 // CloseJournal journals a final stats annotation (when the journal is
@@ -300,20 +268,15 @@ func (m *Middleware) CloseJournal() error {
 	if m.journalErr == nil {
 		// Deferred checks must land before the final stats annotation so
 		// the journaled counters match an eager-checking replay.
-		_ = m.catchUpLocked(nil)
+		_ = m.catchUpLocked()
 	}
+	// No commitWait: Close below syncs everything unconditionally.
+	m.flushLocked(nil, nil)
 	if m.journalErr == nil {
-		if err := m.statsRecordLocked(); err == nil {
-			// No commitWait: Close below syncs everything unconditionally.
-			m.journalCommitLocked(nil, nil)
-		}
+		m.appendStatsLocked(nil, nil)
 	}
 	err := m.journal.Close()
-	if bn, ok := m.strat.(strategy.BadMarkNotifier); ok {
-		bn.SetBadMarkHook(nil)
-	}
 	m.journal = nil
-	m.jbuf = nil
 	m.journalErr = nil
 	return err
 }
@@ -480,17 +443,12 @@ func (m *Middleware) replayRecord(rec wal.Record, rep *RecoveryReport) error {
 		if got := m.Stats(); got != want {
 			return fmt.Errorf("replayed stats diverge from journal: got %+v, journal %+v", got, want)
 		}
-	case wal.RecordDiscard, wal.RecordExpire, wal.RecordBad:
-		// Derived during replay of the commands above.
-		rep.Annotations++
-	case wal.RecordCheckFail:
-		// A watchdog abort: the operation it annotates was rolled back (or
-		// the journal fail-stopped right after), so there is nothing to
-		// re-apply.
-		rep.Annotations++
-	case wal.RecordEpochBump:
-		// A fencing-epoch advance: journal-level state, not middleware
-		// state. wal.Open recovers the epoch from it; replay skips it.
+	case wal.RecordDiscard, wal.RecordExpire, wal.RecordBad, wal.RecordCheckFail, wal.RecordEpochBump:
+		// Discards, expiries and bad marks are re-derived by replaying the
+		// commands above. A check-fail annotates an operation that was
+		// rolled back (or fail-stopped the journal right after), so there
+		// is nothing to re-apply; an epoch bump is journal-level state
+		// that wal.Open recovers.
 		rep.Annotations++
 	default:
 		return fmt.Errorf("unknown record type %q", rec.Type)

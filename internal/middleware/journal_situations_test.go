@@ -34,7 +34,7 @@ func TestJournalSituationsCheckpointRoundTrip(t *testing.T) {
 	var refEvents []string
 	m := journaled(t, New(velocityChecker(t, 1, 1.5), strategy.NewDropBad(),
 		WithSituations(presenceEngine()),
-		WithSituationHook(func(ev situation.Event) { refEvents = append(refEvents, ev.String()) })),
+		WithHooks(on(EventSituation, func(e Event) { refEvents = append(refEvents, e.Situation.String()) }))),
 		openTestJournal(t, dir))
 
 	if _, err := m.Submit(loc("d1", 1, 0, ctx.WithTTL(5*time.Second))); err != nil {
@@ -73,7 +73,7 @@ func TestJournalSituationsCheckpointRoundTrip(t *testing.T) {
 	m2, rep, err := Recover(dir, func() *Middleware {
 		return New(velocityChecker(t, 1, 1.5), strategy.NewDropBad(),
 			WithSituations(eng2),
-			WithSituationHook(func(ev situation.Event) { replayEvents = append(replayEvents, ev.String()) }))
+			WithHooks(on(EventSituation, func(e Event) { replayEvents = append(replayEvents, e.Situation.String()) })))
 	})
 	if err != nil {
 		t.Fatal(err)

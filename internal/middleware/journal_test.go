@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"ctxres/internal/ctx"
-	"ctxres/internal/situation"
 	"ctxres/internal/strategy"
 	"ctxres/internal/wal"
 )
@@ -372,9 +371,9 @@ func TestCrashRecoveryProperty(t *testing.T) {
 				return func() *Middleware {
 					return New(velocityChecker(t, 2, 1.5), strategy.NewDropBad(),
 						WithSituations(presenceEngine()),
-						WithSituationHook(func(ev situation.Event) {
-							*rec = append(*rec, ev.String())
-						}))
+						WithHooks(on(EventSituation, func(e Event) {
+							*rec = append(*rec, e.Situation.String())
+						})))
 				}
 			}
 

@@ -15,6 +15,7 @@ package middleware
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -58,23 +59,6 @@ func (r DiscardReason) String() string {
 	}
 }
 
-// Hooks receive life-cycle notifications; any field may be nil. Hooks run
-// under the middleware lock: they must be fast and must not call back into
-// the middleware.
-type Hooks struct {
-	// OnAccept fires when a submitted context is admitted (either directly
-	// consistent or buffered for checking).
-	OnAccept func(c *ctx.Context)
-	// OnDetect fires for each inconsistency a submission introduces.
-	OnDetect func(v constraint.Violation)
-	// OnDiscard fires when a context is discarded.
-	OnDiscard func(c *ctx.Context, reason DiscardReason)
-	// OnDeliver fires when a context is successfully used.
-	OnDeliver func(c *ctx.Context)
-	// OnExpire fires when a buffered context expires before use.
-	OnExpire func(c *ctx.Context)
-}
-
 // Stats is a snapshot of middleware counters.
 type Stats struct {
 	Submitted  int `json:"submitted"`
@@ -99,25 +83,24 @@ type Middleware struct {
 	strat      strategy.Strategy
 	pool       *pool.Pool
 	situations *situation.Engine
-	// situationHook observes every situation transition, replay included
-	// (see WithSituationHook).
-	situationHook func(situation.Event)
-	hooks         Hooks
-	clock         time.Time
-	stats         Stats
+	hook       Hook
+	clock      time.Time
+	stats      Stats
 
-	// Durability (see journal.go). jbuf collects the records one
-	// operation produces; they are appended to the journal before the
-	// lock is released. journalErr is the sticky write failure: once the
-	// log cannot keep up, further state-changing operations are refused.
+	// events holds the facts of the operation holding the lock until
+	// flushLocked hands them to the sinks (see events.go).
+	events []Event
+
+	// Durability (see journal.go). journalErr is the sticky write
+	// failure: once the log cannot keep up, further state-changing
+	// operations are refused.
 	journal    *wal.Journal
-	jbuf       []wal.Record
 	journalErr error
 
 	// Observability (see telemetry.go). tel's zero value is "off" and
 	// every instrument call no-ops. curSpan is the span of the operation
-	// currently holding the lock, so journalCommitLocked — which runs as
-	// a deferred step of that operation — can attach the journal stage.
+	// currently holding the lock, so flushLocked — which runs as a
+	// deferred step of that operation — can attach the journal stage.
 	telReg  *telemetry.Registry
 	telSink telemetry.SpanSink
 	tel     pipelineTelemetry
@@ -126,23 +109,22 @@ type Middleware struct {
 	// WithProvenance); nil keeps provenance off.
 	prov *telemetry.ProvenanceRing
 
-	// Push delivery (see delta.go). deltaKinds accumulates the kinds an
-	// in-flight operation touches; notifyDeltaLocked flushes them to the
-	// hook after the operation's journal commit.
-	deltaHook  DeltaHook
-	deltaKinds map[ctx.Kind]bool
+	// Push delivery: deltaHook hears the kinds each operation touched.
+	deltaHook DeltaHook
 
 	// Overload resilience (see admission.go). pending counts Submit
 	// operations in flight — the one holding the lock plus those queued
 	// behind it — and is only maintained when admission control is
-	// enabled. deferredQ holds degraded-mode acknowledgements awaiting
+	// enabled; queueShed counts those shed before taking the lock, res
+	// the rest. deferredQ holds degraded-mode acknowledgements awaiting
 	// their consistency checks; replaying disables the admission gates
 	// while Recover drives the public entry points.
 	adm         AdmissionOptions
 	wd          WatchdogOptions
 	health      *health.Tracker
 	pending     atomic.Int64
-	res         resilienceCounters
+	queueShed   atomic.Int64
+	res         ResilienceStats
 	degraded    bool
 	deferredQ   []deferredSubmit
 	deferredIDs map[ctx.ID]bool
@@ -152,24 +134,10 @@ type Middleware struct {
 // Option configures the middleware.
 type Option func(*Middleware)
 
-// WithHooks installs life-cycle hooks.
-func WithHooks(h Hooks) Option {
-	return func(m *Middleware) { m.hooks = h }
-}
-
 // WithSituations installs a situation engine evaluated over the delivered
 // view after every successful use.
 func WithSituations(e *situation.Engine) Option {
 	return func(m *Middleware) { m.situations = e }
-}
-
-// WithSituationHook installs a callback invoked (under the middleware
-// lock — it must be fast and must not call back in) for every situation
-// transition the engine emits, including transitions re-derived while
-// Recover replays the journal. Recorders use it to compare pre-crash and
-// recovered activation sequences event by event.
-func WithSituationHook(h func(situation.Event)) Option {
-	return func(m *Middleware) { m.situationHook = h }
 }
 
 // New builds a middleware around a checker and a resolution strategy.
@@ -183,6 +151,11 @@ func New(checker *constraint.Checker, strat strategy.Strategy, opts ...Option) *
 		opt(m)
 	}
 	m.tel = newPipelineTelemetry(m.telReg, m.telSink)
+	if bn, ok := strat.(strategy.BadMarkNotifier); ok {
+		// Bad-marking is a strategy-internal mutation the middleware never
+		// sees otherwise. The hook fires inside strat.OnUse, under the lock.
+		bn.SetBadMarkHook(func(c *ctx.Context) { m.emit(Event{Type: EventBadMark, Context: c}) })
+	}
 	return m
 }
 
@@ -270,20 +243,12 @@ func (m *Middleware) submitOne(c *ctx.Context, so SubmitOptions, wait *commitWai
 	opStart := m.tel.now()
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	sp := m.tel.startSpan("submit", string(c.ID), opStart, so.Trace)
-	m.curSpan = sp
-	outcome := "accepted"
-	// Registered before the journal-commit defer so that (LIFO) it runs
-	// after the commit: the span then includes the journal_append stage.
-	defer func() {
-		if err != nil {
-			outcome = submitErrOutcome(err)
-		}
-		m.tel.opDone("submit", opStart, sp, outcome)
-		m.curSpan = nil
-	}()
-	defer m.notifyDeltaLocked()
-	defer m.journalCommitLocked(&err, wait)
+	m.curSpan = m.tel.startSpan("submit", string(c.ID), opStart, so.Trace)
+	ok := "accepted"
+	// Registered before the flush defer so that (LIFO) it runs after the
+	// journal commit: the span then includes the journal_append stage.
+	defer func() { m.opDone("submit", opStart, outcome(err, ok)) }()
+	defer m.flushLocked(&err, wait)
 	if err := m.journalHealthLocked(); err != nil {
 		return nil, err
 	}
@@ -294,7 +259,7 @@ func (m *Middleware) submitOne(c *ctx.Context, so SubmitOptions, wait *commitWai
 		if err := m.deferSubmitLocked(c); err != nil {
 			return nil, err
 		}
-		outcome = "deferred"
+		ok = "deferred"
 		return nil, nil
 	}
 
@@ -302,24 +267,23 @@ func (m *Middleware) submitOne(c *ctx.Context, so SubmitOptions, wait *commitWai
 		m.clock = c.Timestamp
 	}
 	m.sweepLocked()
-	vios, err = m.processSubmitLocked(c, sp, false)
+	vios, err = m.processSubmitLocked(c, false)
 	if err != nil {
 		return nil, err
 	}
 	if len(vios) > 0 {
-		outcome = "inconsistent"
+		ok = "inconsistent"
 	}
 	return vios, nil
 }
 
 // processSubmitLocked runs the inline pipeline for one admitted context:
-// pool insertion, consistency check, strategy resolution, accounting,
-// hooks. The fallible stages (check, resolve — the ones a watchdog can
-// abort) run before any counter or journal record is produced, so an
-// abort unwinds via rollbackSubmitLocked without touching the log.
-// deferred marks catch-up replays of degraded-mode submissions, whose
-// submit accounting already happened at acknowledgement time.
-func (m *Middleware) processSubmitLocked(c *ctx.Context, sp *telemetry.Span, deferred bool) ([]constraint.Violation, error) {
+// pool insertion, consistency check, strategy resolution, and its events.
+// The fallible stages (check, resolve — the ones a watchdog can abort) run
+// before the accept event, so an abort unwinds via rollbackSubmitLocked
+// without a submit record. deferred marks catch-up replays of
+// degraded-mode submissions, acknowledged by an earlier defer event.
+func (m *Middleware) processSubmitLocked(c *ctx.Context, deferred bool) ([]constraint.Violation, error) {
 	relevant := m.checker.Relevant(c.Kind)
 	if !relevant {
 		// Part 1 fast path: irrelevant to every constraint — directly
@@ -331,7 +295,6 @@ func (m *Middleware) processSubmitLocked(c *ctx.Context, sp *telemetry.Span, def
 	if err := m.pool.Add(c); err != nil {
 		return nil, fmt.Errorf("submit: %w", err)
 	}
-	m.deltaMark(c.Kind)
 	var vios []constraint.Violation
 	var out strategy.Outcome
 	var resolveStart time.Time
@@ -339,92 +302,24 @@ func (m *Middleware) processSubmitLocked(c *ctx.Context, sp *telemetry.Span, def
 		checkStart := m.tel.now()
 		var cerr error
 		vios, cerr = m.checkGuardedLocked(c)
-		m.tel.stageDone(sp, telemetry.StageCheck, checkStart)
+		m.tel.stageDone(m.curSpan, telemetry.StageCheck, checkStart)
 		if cerr != nil {
 			return nil, m.rollbackSubmitLocked(c, deferred, cerr)
 		}
 		resolveStart = m.tel.now()
 		out, cerr = m.resolveAdditionLocked(c, vios)
 		if cerr != nil {
-			m.tel.stageDone(sp, telemetry.StageResolve, resolveStart)
+			m.tel.stageDone(m.curSpan, telemetry.StageResolve, resolveStart)
 			return nil, m.rollbackSubmitLocked(c, deferred, cerr)
 		}
 	}
-	if !deferred {
-		m.stats.Submitted++
-		m.tel.submits.Inc()
-		m.jAppend(wal.Record{Type: wal.RecordSubmit, Context: c})
+	m.emit(Event{Type: EventAccept, Context: c, Checked: relevant, Deferred: deferred})
+	for _, v := range vios {
+		m.emit(Event{Type: EventDetect, Context: c, Violation: v})
 	}
-	if m.hooks.OnAccept != nil {
-		m.hooks.OnAccept(c)
-	}
-	if relevant {
-		m.stats.Detected += len(vios)
-		m.tel.detected.Add(uint64(len(vios)))
-		for _, v := range vios {
-			m.tel.violations.With(v.Constraint).Inc()
-		}
-		if m.hooks.OnDetect != nil {
-			for _, v := range vios {
-				m.hooks.OnDetect(v)
-			}
-		}
-	}
-	m.observeHealthLocked(c, len(vios))
-	if relevant {
-		m.applyLocked(out, ReasonOnAddition)
-		m.tel.stageDone(sp, telemetry.StageResolve, resolveStart)
-		decision := "keep"
-		if len(out.Discard) > 0 {
-			decision = "discard"
-		}
-		m.tel.decisions.With(decision).Inc()
-		if len(vios) > 0 {
-			m.emitResolutionLocked(sp, vios, out.Discard)
-		}
-	}
+	m.applyLocked(out, ReasonOnAddition) // no-op for an unchecked context
+	m.tel.stageDone(m.curSpan, telemetry.StageResolve, resolveStart)
 	return vios, nil
-}
-
-// emitResolutionLocked records the provenance of one resolution: one
-// ResolutionEvent per violation the strategy just resolved, appended to
-// the provenance ring and — for the first violation — attached to the
-// operation's span, so the resolve span itself names the constraint, the
-// strategy, and the discarded contexts.
-func (m *Middleware) emitResolutionLocked(sp *telemetry.Span, vios []constraint.Violation, discarded []*ctx.Context) {
-	if m.prov == nil && sp == nil {
-		return
-	}
-	var ids []string
-	if len(discarded) > 0 {
-		ids = make([]string, len(discarded))
-		for i, d := range discarded {
-			ids[i] = string(d.ID)
-		}
-	}
-	for i, v := range vios {
-		ev := telemetry.ResolutionEvent{
-			Constraint: v.Constraint,
-			Strategy:   m.strat.Name(),
-			Discarded:  ids,
-			Clock:      m.clock,
-		}
-		if sp != nil {
-			ev.TraceID = sp.TraceID
-		}
-		bound := v.Link.Contexts()
-		if len(bound) > 0 {
-			ev.Violating = make([]string, len(bound))
-			for j, c := range bound {
-				ev.Violating[j] = string(c.ID)
-			}
-		}
-		m.prov.Append(ev)
-		if i == 0 && sp != nil {
-			first := ev
-			sp.Resolution = &first
-		}
-	}
 }
 
 // Use processes a context deletion change: the application asks to consume
@@ -436,28 +331,8 @@ func (m *Middleware) Use(id ctx.ID) (*ctx.Context, error) {
 
 // UseTrace is Use under a distributed trace context: the use's pipeline
 // span joins the caller's trace.
-func (m *Middleware) UseTrace(id ctx.ID, tr telemetry.TraceContext) (c *ctx.Context, err error) {
-	opStart := m.tel.now()
-	var wait commitWait
-	defer m.commitDurable(&wait, &err)
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	sp := m.tel.startSpan("use", string(id), opStart, tr)
-	m.curSpan = sp
-	defer func() {
-		m.tel.opDone("use", opStart, sp, useOutcome(err))
-		m.curSpan = nil
-	}()
-	defer m.notifyDeltaLocked()
-	defer m.journalCommitLocked(&err, &wait)
-	if err := m.journalHealthLocked(); err != nil {
-		return nil, err
-	}
-	if err := m.catchUpLocked(sp); err != nil {
-		return nil, err
-	}
-	m.sweepLocked()
-	return m.useLocked(id)
+func (m *Middleware) UseTrace(id ctx.ID, tr telemetry.TraceContext) (*ctx.Context, error) {
+	return m.use("use", id, "", "", tr)
 }
 
 // UseLatest finds the newest available context of the given kind and
@@ -468,31 +343,41 @@ func (m *Middleware) UseLatest(kind ctx.Kind, subject string) (*ctx.Context, err
 }
 
 // UseLatestTrace is UseLatest under a distributed trace context.
-func (m *Middleware) UseLatestTrace(kind ctx.Kind, subject string, tr telemetry.TraceContext) (c *ctx.Context, err error) {
+func (m *Middleware) UseLatestTrace(kind ctx.Kind, subject string, tr telemetry.TraceContext) (*ctx.Context, error) {
+	return m.use("use_latest", "", kind, subject, tr)
+}
+
+// use runs one use operation: of id, or for op "use_latest" of the newest
+// available context of kind and subject.
+func (m *Middleware) use(op string, id ctx.ID, kind ctx.Kind, subject string, tr telemetry.TraceContext) (c *ctx.Context, err error) {
+	latest := op == "use_latest"
+	key := string(id)
+	if latest && m.tel.sink != nil { // the key only names a recorded span
+		key = string(kind) + "/" + subject
+	}
 	opStart := m.tel.now()
 	var wait commitWait
 	defer m.commitDurable(&wait, &err)
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	sp := m.tel.startSpan("use_latest", string(kind)+"/"+subject, opStart, tr)
-	m.curSpan = sp
-	defer func() {
-		m.tel.opDone("use_latest", opStart, sp, useOutcome(err))
-		m.curSpan = nil
-	}()
-	defer m.notifyDeltaLocked()
-	defer m.journalCommitLocked(&err, &wait)
+	m.curSpan = m.tel.startSpan(op, key, opStart, tr)
+	defer func() { m.opDone(op, opStart, outcome(err, "delivered")) }()
+	defer m.flushLocked(&err, &wait)
 	if err := m.journalHealthLocked(); err != nil {
 		return nil, err
 	}
-	if err := m.catchUpLocked(sp); err != nil {
+	if err := m.catchUpLocked(); err != nil {
 		return nil, err
 	}
 	m.sweepLocked()
-	if c := m.pool.NewestAvailable(kind, subject); c != nil {
-		return m.useLocked(c.ID)
+	if latest {
+		c := m.pool.NewestAvailable(kind, subject)
+		if c == nil {
+			return nil, fmt.Errorf("use latest %s/%s: %w", kind, subject, ErrNotFound)
+		}
+		id = c.ID
 	}
-	return nil, fmt.Errorf("use latest %s/%s: %w", kind, subject, ErrNotFound)
+	return m.useLocked(id)
 }
 
 // useLocked uses a context. Its callers have swept at the current clock:
@@ -518,31 +403,24 @@ func (m *Middleware) useLocked(id ctx.ID) (*ctx.Context, error) {
 	// Re-reads and the error returns above are read-only, so they need no
 	// record; everything from here on is re-derived deterministically on
 	// replay.
-	m.jAppend(wal.Record{Type: wal.RecordUse, ID: id})
+	at := len(m.events)
+	m.emit(Event{Type: EventUse, Context: c})
 
 	resolveStart := m.tel.now()
 	usable, out, rerr := m.resolveUseLocked(c)
 	if rerr != nil {
 		// The strategy panicked mid-use (watchdog containment): drop the
-		// queued use record — the use never reached a decision, so replay
-		// must not re-attempt it — and journal the abort instead.
+		// use event — the use never reached a decision, so replay must not
+		// re-attempt it — and journal the abort instead.
 		m.tel.stageDone(m.curSpan, telemetry.StageResolve, resolveStart)
-		m.dropBufferedRecordLocked(wal.RecordUse, id)
-		m.jAppend(wal.Record{Type: wal.RecordCheckFail, ID: id, Reason: rerr.Error()})
-		m.res.checkPanics.Add(1)
-		m.tel.checkAborts.With("panic").Inc()
+		m.events = slices.Delete(m.events, at, at+1)
+		m.emit(Event{Type: EventCheckAbort, Context: c, Err: rerr})
 		return nil, fmt.Errorf("use %s: %w", id, rerr)
 	}
 	m.applyLocked(out, ReasonOnUse)
 	m.tel.stageDone(m.curSpan, telemetry.StageResolve, resolveStart)
-	decision := "deliver"
 	if !usable {
-		decision = "reject"
-	}
-	m.tel.decisions.With(decision).Inc()
-	if !usable {
-		m.stats.Rejected++
-		m.tel.rejected.Inc()
+		m.emit(Event{Type: EventReject, Context: c})
 		return nil, fmt.Errorf("use %s: %w", id, ErrInconsistent)
 	}
 	if !c.State().Terminal() {
@@ -553,40 +431,21 @@ func (m *Middleware) useLocked(id ctx.ID) (*ctx.Context, error) {
 	if err := m.pool.MarkUsed(id); err != nil {
 		return nil, fmt.Errorf("use: %w", err)
 	}
-	m.stats.Delivered++
-	m.tel.delivered.Inc()
-	if m.hooks.OnDeliver != nil {
-		m.hooks.OnDeliver(c)
-	}
+	m.emit(Event{Type: EventDeliver, Context: c})
 	m.evaluateSituationsLocked()
 	return c, nil
 }
 
-// EvaluateSituations forces a situation evaluation over the delivered view
-// (normally done automatically after each delivery) and returns the
-// transitions.
-func (m *Middleware) EvaluateSituations() []situation.Event {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.evaluateSituationsLocked()
-}
-
-func (m *Middleware) evaluateSituationsLocked() []situation.Event {
+// evaluateSituationsLocked re-evaluates the situations over the delivered
+// view; each delivery runs it.
+func (m *Middleware) evaluateSituationsLocked() {
 	if m.situations == nil {
-		return nil
+		return
 	}
 	u := constraint.NewSliceUniverse(m.pool.Delivered())
-	events := m.situations.Evaluate(u, m.clock)
-	for _, ev := range events {
-		if ev.Type == situation.Activated {
-			m.stats.Situations++
-			m.tel.situations.Inc()
-		}
-		if m.situationHook != nil {
-			m.situationHook(ev)
-		}
+	for _, ev := range m.situations.Evaluate(u, m.clock) {
+		m.emit(Event{Type: EventSituation, Situation: ev})
 	}
-	return events
 }
 
 // AdvanceTo moves the logical clock forward (e.g. to expire contexts at
@@ -596,15 +455,13 @@ func (m *Middleware) AdvanceTo(now time.Time) {
 	defer m.commitDurable(&wait, nil)
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	defer m.notifyDeltaLocked()
-	defer m.journalCommitLocked(nil, &wait)
+	defer m.flushLocked(nil, &wait)
 	// Deferred checks replay before the clock moves, so their recorded
 	// sweep points stay behind it (and match the journal's record order).
-	_ = m.catchUpLocked(nil)
+	_ = m.catchUpLocked()
 	if now.After(m.clock) {
 		m.clock = now
-		t := now
-		m.jAppend(wal.Record{Type: wal.RecordAdvance, Time: &t})
+		m.emit(Event{Type: EventAdvance})
 	}
 	m.sweepLocked()
 }
@@ -619,31 +476,18 @@ func (m *Middleware) Compact() (removed int, err error) {
 	defer m.commitDurable(&wait, &err)
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	sp := m.tel.startSpan("compact", "", opStart, telemetry.TraceContext{})
-	m.curSpan = sp
-	defer func() {
-		outcome := "compacted"
-		if err != nil {
-			outcome = "error"
-		}
-		m.tel.opDone("compact", opStart, sp, outcome)
-		m.curSpan = nil
-	}()
-	defer m.notifyDeltaLocked()
-	defer m.journalCommitLocked(&err, &wait)
+	m.curSpan = m.tel.startSpan("compact", "", opStart, telemetry.TraceContext{})
+	defer func() { m.opDone("compact", opStart, outcome(err, "compacted")) }()
+	defer m.flushLocked(&err, &wait)
 	if err := m.journalHealthLocked(); err != nil {
 		return 0, err
 	}
-	if err := m.catchUpLocked(sp); err != nil {
+	if err := m.catchUpLocked(); err != nil {
 		return 0, err
 	}
 	m.sweepLocked()
 	removed = m.pool.Compact()
-	m.stats.Compactions++
-	m.stats.CompactRemoved += removed
-	m.tel.compactions.Inc()
-	m.tel.compactRemoved.Add(uint64(removed))
-	m.jAppend(wal.Record{Type: wal.RecordCompact})
+	m.emit(Event{Type: EventCompact, N: removed})
 	return removed, nil
 }
 
@@ -655,17 +499,8 @@ func (m *Middleware) sweepLocked() { m.sweepAtLocked(m.clock) }
 // replay the inline path's exact expiry sequence.
 func (m *Middleware) sweepAtLocked(now time.Time) {
 	for _, c := range m.pool.SweepExpired(now) {
-		m.stats.Expired++
-		m.tel.expired.Inc()
-		m.deltaMark(c.Kind)
-		m.jAppend(wal.Record{Type: wal.RecordExpire, ID: c.ID})
+		m.emit(Event{Type: EventExpire, Context: c, Time: now})
 		m.strat.OnExpire(c)
-		if m.health != nil {
-			m.health.Observe(c.Source, health.Expired, now)
-		}
-		if m.hooks.OnExpire != nil {
-			m.hooks.OnExpire(c)
-		}
 	}
 }
 
@@ -681,18 +516,7 @@ func (m *Middleware) applyLocked(out strategy.Outcome, reason DiscardReason) {
 			// Undecided or bad → inconsistent; both transitions are legal.
 			_ = d.SetState(ctx.Inconsistent)
 		}
-		m.stats.Discarded++
-		m.deltaMark(d.Kind)
-		m.tel.discards.With(reason.String()).Inc()
-		m.jAppend(wal.Record{Type: wal.RecordDiscard, ID: d.ID, Reason: reason.String()})
-		if m.health != nil {
-			// The strategy judged this context the culprit: score its
-			// source with a bad mark.
-			m.health.Observe(d.Source, health.Bad, m.clock)
-		}
-		if m.hooks.OnDiscard != nil {
-			m.hooks.OnDiscard(d, reason)
-		}
+		m.emit(Event{Type: EventDiscard, Context: d, Reason: reason})
 	}
 }
 

@@ -32,6 +32,17 @@ func velocityChecker(tb testing.TB, reach uint64, limit float64) *constraint.Che
 	return ch
 }
 
+// on returns a hook that calls f for each event of type typ.
+func on(typ EventType, f func(e Event)) Hook {
+	return func(evs []Event) {
+		for _, e := range evs {
+			if e.Type == typ {
+				f(e)
+			}
+		}
+	}
+}
+
 func loc(id string, seq uint64, x float64, opts ...ctx.Option) *ctx.Context {
 	opts = append([]ctx.Option{
 		ctx.WithID(ctx.ID(id)), ctx.WithSeq(seq), ctx.WithSource("tracker"),
@@ -85,14 +96,12 @@ func TestIrrelevantKindFastPath(t *testing.T) {
 
 func TestDropLatestPipelineScenarioA(t *testing.T) {
 	var discarded []ctx.ID
-	m := New(velocityChecker(t, 1, 1.5), strategy.NewDropLatest(), WithHooks(Hooks{
-		OnDiscard: func(c *ctx.Context, r DiscardReason) {
-			if r != ReasonOnAddition {
-				t.Errorf("reason = %v", r)
-			}
-			discarded = append(discarded, c.ID)
-		},
-	}))
+	m := New(velocityChecker(t, 1, 1.5), strategy.NewDropLatest(), WithHooks(on(EventDiscard, func(e Event) {
+		if e.Reason != ReasonOnAddition {
+			t.Errorf("reason = %v", e.Reason)
+		}
+		discarded = append(discarded, e.Context.ID)
+	})))
 	for _, c := range scenarioA() {
 		if _, err := m.Submit(c); err != nil {
 			t.Fatal(err)
@@ -168,9 +177,9 @@ func TestUseErrors(t *testing.T) {
 
 func TestExpiryNotifiesStrategy(t *testing.T) {
 	var expired []ctx.ID
-	m := New(velocityChecker(t, 1, 1.5), strategy.NewDropBad(), WithHooks(Hooks{
-		OnExpire: func(c *ctx.Context) { expired = append(expired, c.ID) },
-	}))
+	m := New(velocityChecker(t, 1, 1.5), strategy.NewDropBad(), WithHooks(on(EventExpire, func(e Event) {
+		expired = append(expired, e.Context.ID)
+	})))
 	short := loc("s", 1, 0, ctx.WithTTL(2*time.Second))
 	if _, err := m.Submit(short); err != nil {
 		t.Fatal(err)
@@ -215,8 +224,8 @@ func TestSituationsEvaluateOnDelivery(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Not yet delivered: no activation.
-	if evs := m.EvaluateSituations(); len(evs) != 0 {
-		t.Fatalf("events = %v", evs)
+	if eng.Active("peter-present") {
+		t.Fatal("situation activated before delivery")
 	}
 	if _, err := m.Use("d1"); err != nil {
 		t.Fatal(err)
@@ -231,9 +240,9 @@ func TestSituationsEvaluateOnDelivery(t *testing.T) {
 
 func TestOnDetectHook(t *testing.T) {
 	var detected []string
-	m := New(velocityChecker(t, 1, 1.5), strategy.NewDropBad(), WithHooks(Hooks{
-		OnDetect: func(v constraint.Violation) { detected = append(detected, v.Link.Key()) },
-	}))
+	m := New(velocityChecker(t, 1, 1.5), strategy.NewDropBad(), WithHooks(on(EventDetect, func(e Event) {
+		detected = append(detected, e.Violation.Link.Key())
+	})))
 	for _, c := range scenarioA() {
 		if _, err := m.Submit(c); err != nil {
 			t.Fatal(err)
@@ -310,9 +319,15 @@ func TestSituationsDeactivateOnExpiry(t *testing.T) {
 		t.Fatal("not active after delivery")
 	}
 	// The delivered context expires; the situation must deactivate on the
-	// next evaluation.
-	m.AdvanceTo(t0.Add(time.Minute))
-	m.EvaluateSituations()
+	// next evaluation, which the next delivery runs.
+	anna := ctx.NewLocation("anna", t0.Add(time.Minute), ctx.Point{},
+		ctx.WithID("a1"), ctx.WithSeq(60), ctx.WithSource("tracker"))
+	if _, err := m.Submit(anna); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Use("a1"); err != nil {
+		t.Fatal(err)
+	}
 	if eng.Active("peter-present") {
 		t.Fatal("still active after expiry")
 	}

@@ -9,10 +9,10 @@ import (
 )
 
 // WithTelemetry exports pipeline counters and stage-latency histograms
-// into reg. The counters are incremented at exactly the code points that
-// update Stats, so a /metrics scrape and the stats op always agree. A nil
-// registry leaves telemetry disabled (the default) at zero cost per
-// operation.
+// into reg. The counters are incremented by the one function that updates
+// Stats, from the same events, so a /metrics scrape and the stats op
+// always agree. A nil registry leaves telemetry disabled (the default) at
+// zero cost per operation.
 func WithTelemetry(reg *telemetry.Registry) Option {
 	return func(m *Middleware) { m.telReg = reg }
 }
@@ -139,25 +139,29 @@ func (t *pipelineTelemetry) startSpan(op, id string, start time.Time, tr telemet
 	return sp
 }
 
-// opDone observes the operation's end-to-end latency and emits its span.
-func (t *pipelineTelemetry) opDone(op string, start time.Time, sp *telemetry.Span, outcome string) {
+// opDone ends the operation holding the lock: it observes the
+// operation's end-to-end latency and emits its span.
+func (m *Middleware) opDone(op string, start time.Time, outcome string) {
+	sp := m.curSpan
+	m.curSpan = nil
 	if start.IsZero() {
 		return
 	}
 	d := time.Since(start)
-	t.ops.With(op).ObserveDuration(d)
+	m.tel.ops.With(op).ObserveDuration(d)
 	if sp != nil {
 		sp.Outcome = outcome
 		sp.Seconds = d.Seconds()
-		t.sink.RecordSpan(sp)
+		m.tel.sink.RecordSpan(sp)
 	}
 }
 
-// useOutcome maps a use error to its span outcome label.
-func useOutcome(err error) string {
+// outcome maps an operation's error to its span outcome label; ok labels
+// success.
+func outcome(err error, ok string) string {
 	switch {
 	case err == nil:
-		return "delivered"
+		return ok
 	case errors.Is(err, ErrInconsistent):
 		return "rejected"
 	case errors.Is(err, ErrNotFound):
@@ -166,6 +170,14 @@ func useOutcome(err error) string {
 		return "discarded"
 	case errors.Is(err, ErrExpired):
 		return "expired"
+	case errors.Is(err, ErrOverloaded):
+		return "overloaded"
+	case errors.Is(err, ErrQuarantined):
+		return "quarantined"
+	case errors.Is(err, ErrCheckTimeout):
+		return "check-timeout"
+	case errors.Is(err, ErrCheckFailed):
+		return "check-panic"
 	default:
 		return "error"
 	}

@@ -258,3 +258,83 @@ func TestTelemetryRaceStress(t *testing.T) {
 		t.Fatalf("%d submit spans, want %d", len(sink.byOp("submit")), st.Submitted)
 	}
 }
+
+// TestResilienceCountersMatchTelemetry drives every overload mechanism —
+// a full pending queue, a passed deadline, a degraded-mode deferral and
+// its catch-up, a watchdog timeout — on middlewares that share one
+// registry, and asserts the telemetry counters equal the summed
+// Resilience snapshots.
+func TestResilienceCountersMatchTelemetry(t *testing.T) {
+	reg := telemetry.NewRegistry()
+
+	// Queue shed: q1 parks in the hook holding the lock, so q2 finds the
+	// one pending slot taken.
+	block := make(chan struct{})
+	started := make(chan struct{})
+	queued := New(velocityChecker(t, 1, 1.5), strategy.NewDropLatest(), WithTelemetry(reg),
+		WithAdmission(AdmissionOptions{MaxPending: 1}),
+		WithHooks(on(EventAccept, func(Event) { started <- struct{}{}; <-block })))
+	done := make(chan error, 1)
+	go func() { _, err := queued.Submit(loc("q1", 1, 0)); done <- err }()
+	<-started
+	if _, err := queued.Submit(loc("q2", 2, 1)); !errors.Is(err, ErrOverloaded) {
+		t.Fatalf("queue shed: err = %v, want ErrOverloaded", err)
+	}
+	close(block)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+
+	// Deadline shed, then deferral and catch-up: DegradeAt 1 defers every
+	// submission, and the use forces the catch-up.
+	degraded := New(velocityChecker(t, 1, 1.5), strategy.NewDropLatest(), WithTelemetry(reg),
+		WithAdmission(AdmissionOptions{DegradeAt: 1}))
+	if _, err := degraded.SubmitOpts(loc("late", 1, 0), SubmitOptions{Deadline: time.Now().Add(-time.Second)}); !errors.Is(err, ErrOverloaded) {
+		t.Fatalf("deadline shed: err = %v, want ErrOverloaded", err)
+	}
+	for i, x := range []float64{0, 1, 9} {
+		if _, err := degraded.Submit(loc(fmt.Sprintf("d%d", i), uint64(i+1), x)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := degraded.Use("d0"); err != nil {
+		t.Fatal(err)
+	}
+
+	// Watchdog timeout.
+	watched := New(slowChecker(t, 100*time.Millisecond), strategy.NewDropLatest(), WithTelemetry(reg),
+		WithWatchdog(WatchdogOptions{CheckTimeout: 10 * time.Millisecond}))
+	if _, err := watched.Submit(loc("wd", 1, 0)); !errors.Is(err, ErrCheckTimeout) {
+		t.Fatalf("watchdog: err = %v, want ErrCheckTimeout", err)
+	}
+
+	var rs ResilienceStats
+	for _, m := range []*Middleware{queued, degraded, watched} {
+		r := m.Resilience()
+		rs.OverloadShed += r.OverloadShed
+		rs.DeadlineShed += r.DeadlineShed
+		rs.DeferredChecks += r.DeferredChecks
+		rs.CatchUps += r.CatchUps
+		rs.CheckTimeouts += r.CheckTimeouts
+		rs.CheckPanics += r.CheckPanics
+	}
+	if rs.OverloadShed != 1 || rs.DeadlineShed != 1 || rs.DeferredChecks != 3 || rs.CatchUps != 1 || rs.CheckTimeouts != 1 {
+		t.Fatalf("resilience = %+v, want one of each and three deferred checks", rs)
+	}
+	snap := reg.Snapshot()
+	for _, tc := range []struct {
+		key  string
+		want int64
+	}{
+		{`ctxres_overload_shed_total{cause="queue"}`, rs.OverloadShed},
+		{`ctxres_overload_shed_total{cause="deadline"}`, rs.DeadlineShed},
+		{"ctxres_deferred_checks_total", rs.DeferredChecks},
+		{"ctxres_catchups_total", rs.CatchUps},
+		{`ctxres_check_aborts_total{cause="timeout"}`, rs.CheckTimeouts},
+		{`ctxres_check_aborts_total{cause="panic"}`, rs.CheckPanics},
+	} {
+		if got := snap.Counters[tc.key]; got != float64(tc.want) {
+			t.Errorf("%s = %v, Resilience says %d", tc.key, got, tc.want)
+		}
+	}
+}

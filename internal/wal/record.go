@@ -19,6 +19,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"time"
+	"unicode/utf8"
 
 	"ctxres/internal/ctx"
 )
@@ -129,6 +130,11 @@ type Record struct {
 func (r Record) encode() ([]byte, error) {
 	if !r.Type.Valid() {
 		return nil, fmt.Errorf("wal: encode: invalid record type %q", r.Type)
+	}
+	if !utf8.ValidString(string(r.ID)) {
+		// JSON would replace the invalid bytes: the record would replay
+		// under another ID.
+		return nil, fmt.Errorf("wal: encode record %d: id %q: %w", r.Seq, r.ID, ctx.ErrNotUTF8)
 	}
 	data, err := json.Marshal(r)
 	if err != nil {

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unicode/utf8"
 
 	"ctxres/internal/ctx"
 	"ctxres/internal/pool"
@@ -500,10 +501,10 @@ func FuzzRecordRoundTrip(f *testing.F) {
 			}
 		}
 		payload, err := r.encode()
+		if wantErr := !r.Type.Valid() || !utf8.ValidString(id); (err != nil) != wantErr {
+			t.Fatalf("encode(type %q, id %q) = %v, want an error: %v", typ, id, err, wantErr)
+		}
 		if err != nil {
-			if r.Type.Valid() {
-				t.Fatalf("valid type %q failed to encode: %v", typ, err)
-			}
 			return
 		}
 		got, err := decodeRecord(payload)
