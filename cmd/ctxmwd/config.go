@@ -28,7 +28,6 @@ type config struct {
 	metricsAddr, spanLog     string
 	traceSample              float64
 	maxPending               int
-	degradeAt, resumeAt      int
 	checkTimeout             time.Duration
 	breakerTrip              float64
 	breakerWindow            int
@@ -77,10 +76,6 @@ func (c *config) bind(fs *flag.FlagSet) {
 			"(needs -span-log; requests already carrying a trace are always honored)")
 	fs.IntVar(&c.maxPending, "max-pending", 0,
 		"submit queue cap; excess submissions are shed as overloaded (0 disables)")
-	fs.IntVar(&c.degradeAt, "degrade-at", 0,
-		"pending submissions at which consistency checks are deferred (0 disables degraded mode)")
-	fs.IntVar(&c.resumeAt, "resume-at", 0,
-		"pending submissions at or below which deferred checks catch up (0 = degrade-at - 1)")
 	fs.DurationVar(&c.checkTimeout, "check-timeout", 0,
 		"watchdog timeout per consistency check; stuck or panicking checks abort typed (0 disables)")
 	fs.Float64Var(&c.breakerTrip, "breaker-trip", 0,
@@ -128,12 +123,6 @@ func (c *config) validate() error {
 		return fmt.Errorf("-compact-interval must be >= 0 (0 disables), got %v", c.compact)
 	case c.maxPending < 0:
 		return fmt.Errorf("-max-pending must be >= 0 (0 disables), got %d", c.maxPending)
-	case c.degradeAt < 0:
-		return fmt.Errorf("-degrade-at must be >= 0 (0 disables), got %d", c.degradeAt)
-	case c.resumeAt < 0:
-		return fmt.Errorf("-resume-at must be >= 0, got %d", c.resumeAt)
-	case c.resumeAt > 0 && c.degradeAt > 0 && c.resumeAt >= c.degradeAt:
-		return fmt.Errorf("-resume-at (%d) must be below -degrade-at (%d)", c.resumeAt, c.degradeAt)
 	case c.checkTimeout < 0:
 		return fmt.Errorf("-check-timeout must be >= 0 (0 disables), got %v", c.checkTimeout)
 	case c.breakerTrip < 0 || c.breakerTrip > 1:

@@ -28,13 +28,12 @@
 //
 // Overload resilience is opt-in: -max-pending caps the submit queue
 // (excess submissions are shed with a typed "overloaded" code),
-// -degrade-at/-resume-at bound the degraded mode that defers consistency
-// checks under pressure and catches up once load drops, -check-timeout
-// arms the check watchdog (a stuck or panicking check aborts with a
-// typed "check-timeout" code instead of wedging the daemon), and
-// -breaker-trip enables per-source circuit breakers (-breaker-window,
-// -breaker-cooldown tune them) that quarantine sources producing too
-// many bad contexts, answering them with "source-quarantined".
+// -check-timeout arms the check watchdog (a stuck or panicking check
+// aborts with a typed "check-timeout" code instead of wedging the
+// daemon), and -breaker-trip enables per-source circuit breakers
+// (-breaker-window, -breaker-cooldown tune them) that quarantine sources
+// producing too many bad contexts, answering them with
+// "source-quarantined".
 //
 // Clustering (see internal/cluster and DESIGN.md): -follow runs the
 // daemon as a replication follower tailing a leader's WAL over the
@@ -385,10 +384,8 @@ func (d *daemonProc) pipeline() (func() *middleware.Middleware, error) {
 		middleware.WithProvenance(d.prov),
 		middleware.WithSpanSink(d.sink),
 	}
-	if d.maxPending > 0 || d.degradeAt > 0 {
-		opts = append(opts, middleware.WithAdmission(middleware.AdmissionOptions{
-			MaxPending: d.maxPending, DegradeAt: d.degradeAt, ResumeAt: d.resumeAt,
-		}))
+	if d.maxPending > 0 {
+		opts = append(opts, middleware.WithAdmission(middleware.AdmissionOptions{MaxPending: d.maxPending}))
 	}
 	if d.checkTimeout > 0 {
 		opts = append(opts, middleware.WithWatchdog(middleware.WatchdogOptions{

@@ -103,9 +103,6 @@ func TestSetupFlagValidation(t *testing.T) {
 		{"negative snapshot", []string{"-snapshot-interval", "-1m"}, "-snapshot-interval"},
 		{"negative compact", []string{"-compact-interval", "-1m"}, "-compact-interval"},
 		{"negative max-pending", []string{"-max-pending", "-1"}, "-max-pending"},
-		{"negative degrade-at", []string{"-degrade-at", "-1"}, "-degrade-at"},
-		{"negative resume-at", []string{"-resume-at", "-1"}, "-resume-at"},
-		{"resume above degrade", []string{"-degrade-at", "4", "-resume-at", "4"}, "-resume-at"},
 		{"negative check-timeout", []string{"-check-timeout", "-1s"}, "-check-timeout"},
 		{"trip over one", []string{"-breaker-trip", "1.5"}, "-breaker-trip"},
 		{"negative trip", []string{"-breaker-trip", "-0.1"}, "-breaker-trip"},
@@ -155,34 +152,54 @@ func TestSetupFlagValidation(t *testing.T) {
 	d.srv.Shutdown()
 }
 
-// TestSetupResilienceFlagsWire proves -degrade-at and -breaker-trip reach
-// the middleware: a submission under a degrade-at of 1 is deferred, and
-// the stats op carries a health snapshot once breakers are on.
+// TestSetupResilienceFlagsWire proves -max-pending and -breaker-trip reach
+// the middleware: under a cap of 1, a submission arriving while another
+// still holds the middleware is shed as overloaded, and the stats op
+// carries a health snapshot once breakers are on.
 func TestSetupResilienceFlagsWire(t *testing.T) {
 	d, err := setup([]string{"-addr", "127.0.0.1:0",
-		"-max-pending", "64", "-degrade-at", "1",
-		"-check-timeout", "5s", "-breaker-trip", "0.9"})
+		"-max-pending", "1", "-check-timeout", "5s", "-breaker-trip", "0.9"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer d.srv.Shutdown()
+	t0 := time.Date(2008, 6, 17, 9, 0, 0, 0, time.UTC)
+	loc := func(seq uint64) *ctx.Context {
+		return ctx.NewLocation("peter", t0.Add(time.Duration(seq)*time.Second),
+			ctx.Point{X: float64(seq)}, ctx.WithSeq(seq), ctx.WithSource("s"))
+	}
+
+	// A middleware from the same constructor the daemon serves, with a
+	// delta hook that parks the first submission under the lock.
+	build, err := d.pipeline()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mw := build()
+	started, release := make(chan struct{}), make(chan struct{})
+	mw.SetDeltaHook(func(middleware.Delta) { close(started); <-release })
+	done := make(chan error, 1)
+	go func() { _, err := mw.Submit(loc(1)); done <- err }()
+	<-started
+	if _, err := mw.Submit(loc(2)); !errors.Is(err, middleware.ErrOverloaded) {
+		t.Fatalf("err = %v, want the submission shed under -max-pending 1", err)
+	}
+	close(release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+
 	client, err := daemon.Dial(d.srv.Addr().String(), 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer client.Close()
-	t0 := time.Date(2008, 6, 17, 9, 0, 0, 0, time.UTC)
-	c := ctx.NewLocation("peter", t0, ctx.Point{X: 1},
-		ctx.WithSeq(1), ctx.WithSource("s"))
-	if _, err := client.Submit(c); err != nil {
+	if _, err := client.Submit(loc(1)); err != nil {
 		t.Fatal(err)
 	}
-	rs, hs, err := client.Resilience()
+	_, hs, err := client.Resilience()
 	if err != nil {
 		t.Fatal(err)
-	}
-	if rs.DeferredChecks != 1 {
-		t.Fatalf("resilience = %+v, want the submission deferred under -degrade-at 1", rs)
 	}
 	if hs == nil {
 		t.Fatal("no health snapshot despite -breaker-trip")

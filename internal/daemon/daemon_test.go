@@ -2,6 +2,7 @@ package daemon
 
 import (
 	"errors"
+	"fmt"
 	"net"
 	"runtime"
 	"strings"
@@ -142,6 +143,70 @@ func TestUseLatest(t *testing.T) {
 	}
 	if _, err := client.UseLatest("", ""); err == nil {
 		t.Fatal("missing kind accepted")
+	}
+}
+
+// TestSituationsConcurrentWithUse answers the situations op while another
+// goroutine submits and uses contexts whose deliveries switch a situation
+// on and off. Under -race it pins that the op reads the engine's
+// activation state under the middleware lock, never beside it.
+func TestSituationsConcurrentWithUse(t *testing.T) {
+	t.Cleanup(leakcheck.Check(t))
+	engine := situation.NewEngine()
+	engine.MustRegister(&situation.Situation{
+		Name:    "present",
+		Formula: constraint.Exists("a", ctx.KindLocation, constraint.SubjectIs("a", "peter")),
+	})
+	mw := middleware.New(velocityChecker(t), strategy.NewDropBad(), middleware.WithSituations(engine))
+	srv, err := Serve("127.0.0.1:0", mw, engine)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Shutdown)
+	client, err := Dial(srv.Addr().String(), 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = client.Close() })
+
+	const rounds = 100
+	done := make(chan error, 1)
+	go func() {
+		// Peter's location lives one second; delivering mary's, half a
+		// second after it expired, deactivates "present" again.
+		for i := 0; i < rounds; i++ {
+			at := t0.Add(time.Duration(2*i) * time.Second)
+			for _, c := range []*ctx.Context{
+				ctx.NewLocation("peter", at, ctx.Point{}, ctx.WithID(ctx.ID(fmt.Sprintf("p%d", i))), ctx.WithTTL(time.Second)),
+				ctx.NewLocation("mary", at.Add(1500*time.Millisecond), ctx.Point{}, ctx.WithID(ctx.ID(fmt.Sprintf("m%d", i)))),
+			} {
+				if _, err := mw.Submit(c); err != nil {
+					done <- err
+					return
+				}
+				if _, err := mw.Use(c.ID); err != nil {
+					done <- err
+					return
+				}
+			}
+		}
+		done <- nil
+	}()
+	for {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := engine.Activations(); n != rounds {
+				t.Fatalf("activations = %d, want %d", n, rounds)
+			}
+			return
+		default:
+			if _, err := client.Situations(); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 }
 

@@ -256,7 +256,7 @@ type Response struct {
 	// histogram summaries — when the server runs with WithTelemetry.
 	Telemetry *telemetry.Snapshot `json:"telemetry,omitempty"`
 	// Resilience carries the overload-resilience counters (OpStats):
-	// shed, quarantined, deferred, and watchdog-aborted operations.
+	// shed, quarantined, and watchdog-aborted operations.
 	Resilience *middleware.ResilienceStats `json:"resilience,omitempty"`
 	// Health is the per-source circuit-breaker snapshot (OpStats); nil
 	// when the middleware runs without health tracking.

@@ -20,7 +20,7 @@ import (
 type Server struct {
 	*Loop
 	mw     *middleware.Middleware
-	engine *situation.Engine // optional; nil disables OpSituations detail
+	engine *situation.Engine // optional; resolves named subscriptions (OpSubscribe)
 
 	// hub routes middleware deltas to situation subscribers (subscribe.go).
 	hub *hub
@@ -306,13 +306,7 @@ func (s *Server) handle(req Request) Response {
 			Health:     s.mw.HealthSnapshot(),
 		}
 	case OpSituations:
-		active := make(map[string]bool)
-		if s.engine != nil {
-			for _, sit := range s.engine.Situations() {
-				active[sit.Name] = s.engine.Active(sit.Name)
-			}
-		}
-		return Response{OK: true, Active: active}
+		return Response{OK: true, Active: s.mw.Situations()}
 	default:
 		return errResponse(fmt.Errorf("unknown op %q", req.Op))
 	}

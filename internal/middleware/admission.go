@@ -1,26 +1,12 @@
 // Overload resilience for the processing pipeline: admission control
-// (bounded submit queue with deadline-aware load shedding), a degraded
-// mode that defers consistency checking under sustained pressure and
-// catches up in batch once load drops, per-source circuit breakers
-// (internal/health), and a watchdog that bounds the consistency check and
-// strategy resolution, containing stuck or panicking evaluations as
-// typed, counted, journaled failures.
+// (bounded submit queue with deadline-aware load shedding), per-source
+// circuit breakers (internal/health), and a watchdog that bounds the
+// consistency check and strategy resolution, containing stuck or
+// panicking evaluations as typed, counted, journaled failures.
 //
 // Every mechanism here is opt-in: a middleware built without
 // WithAdmission, WithHealth, or WithWatchdog behaves byte-identically to
 // one that predates this file.
-//
-// Degraded-mode equivalence. While degraded, Submit acknowledges a
-// context without processing it: the context is queued (not added to the
-// pool), no expiry sweep runs, and the logical clock at acknowledgement
-// time is recorded alongside it. Catch-up replays the queue in arrival
-// order, sweeping expiry forward to each entry's recorded clock before
-// running the ordinary inline pipeline — exactly the operation sequence
-// the always-check path would have executed — so the resulting pool,
-// strategy state (Σ), and counters are byte-identical to never having
-// degraded (TestDegradedDifferential pins this). Read operations (Use,
-// UseLatest, AdvanceTo, Compact, Checkpoint) force a catch-up first, so
-// applications never observe half-caught-up state.
 package middleware
 
 import (
@@ -31,7 +17,6 @@ import (
 	"ctxres/internal/constraint"
 	"ctxres/internal/ctx"
 	"ctxres/internal/health"
-	"ctxres/internal/pool"
 	"ctxres/internal/strategy"
 	"ctxres/internal/telemetry"
 )
@@ -72,32 +57,14 @@ type SubmitOptions struct {
 	Trace telemetry.TraceContext
 }
 
-// AdmissionOptions bounds the submit queue and configures degraded mode.
-// The zero value disables both.
+// AdmissionOptions bounds the submit queue. The zero value leaves it
+// unbounded.
 type AdmissionOptions struct {
 	// MaxPending caps concurrently pending Submit operations (the one
 	// being processed plus those queued behind the middleware lock).
 	// Submissions beyond the cap are shed immediately with ErrOverloaded,
 	// without blocking. 0 means unbounded.
 	MaxPending int
-	// DegradeAt enters degraded mode when the pending-submit count
-	// reaches it: submissions are acknowledged and journaled but their
-	// consistency checks are deferred until load drops (see the package
-	// comment for the equivalence argument). 0 disables degraded mode.
-	DegradeAt int
-	// ResumeAt leaves degraded mode (running the deferred checks in
-	// batch) once the pending count falls back to it. Values >= DegradeAt
-	// are clamped to DegradeAt-1 so the mode cannot flap on one arrival.
-	ResumeAt int
-}
-
-func (o AdmissionOptions) enabled() bool { return o.MaxPending > 0 || o.DegradeAt > 0 }
-
-func (o AdmissionOptions) resumeAt() int {
-	if o.ResumeAt >= o.DegradeAt {
-		return o.DegradeAt - 1
-	}
-	return o.ResumeAt
 }
 
 // WithAdmission enables admission control.
@@ -146,20 +113,11 @@ type ResilienceStats struct {
 	// Quarantined counts submissions dropped at their source's open
 	// circuit breaker.
 	Quarantined int64 `json:"quarantined"`
-	// DeferredChecks counts submissions acknowledged in degraded mode;
-	// CatchUps the batches that later ran their checks; DegradedEnters
-	// the transitions into degraded mode.
-	DeferredChecks int64 `json:"deferredChecks"`
-	CatchUps       int64 `json:"catchUps"`
-	DegradedEnters int64 `json:"degradedEnters"`
 	// CheckTimeouts and CheckPanics count watchdog aborts.
 	CheckTimeouts int64 `json:"checkTimeouts"`
 	CheckPanics   int64 `json:"checkPanics"`
-	// Degraded and DeferredPending describe the current degraded state;
 	// Pending is the number of Submit operations currently in flight.
-	Degraded        bool `json:"degraded"`
-	DeferredPending int  `json:"deferredPending"`
-	Pending         int  `json:"pending"`
+	Pending int `json:"pending"`
 }
 
 // Resilience returns a snapshot of the overload-control counters.
@@ -168,8 +126,6 @@ func (m *Middleware) Resilience() ResilienceStats {
 	defer m.mu.Unlock()
 	rs := m.res
 	rs.OverloadShed = m.queueShed.Load()
-	rs.Degraded = m.degraded
-	rs.DeferredPending = len(m.deferredQ)
 	rs.Pending = int(m.pending.Load())
 	return rs
 }
@@ -188,11 +144,11 @@ func (m *Middleware) HealthSnapshot() *health.Snapshot {
 // full queue sheds in O(1) without joining it. It returns the release
 // function that retires this operation from the count.
 func (m *Middleware) admit() (release func(), err error) {
-	if !m.adm.enabled() {
+	if m.adm.MaxPending <= 0 {
 		return func() {}, nil
 	}
 	n := m.pending.Add(1)
-	if m.adm.MaxPending > 0 && int(n) > m.adm.MaxPending {
+	if int(n) > m.adm.MaxPending {
 		m.pending.Add(-1)
 		m.account([]Event{{Type: EventShed, Cause: "queue"}})
 		return nil, fmt.Errorf("queue full (%d pending, cap %d): %w", n-1, m.adm.MaxPending, ErrOverloaded)
@@ -201,9 +157,9 @@ func (m *Middleware) admit() (release func(), err error) {
 }
 
 // gateLocked runs the under-lock admission gates, in order: client
-// deadline, source quarantine, degraded-mode entry/exit. All are bypassed
-// during recovery replay — the journal only contains submissions that
-// passed them live, and replay must not second-guess it.
+// deadline, then source quarantine. Both are bypassed during recovery
+// replay — the journal only contains submissions that passed them live,
+// and replay must not second-guess it.
 func (m *Middleware) gateLocked(c *ctx.Context, so SubmitOptions) error {
 	if m.replaying {
 		return nil
@@ -224,93 +180,7 @@ func (m *Middleware) gateLocked(c *ctx.Context, so SubmitOptions) error {
 			return fmt.Errorf("submit %s: source %q: %w", c.ID, c.Source, ErrQuarantined)
 		}
 	}
-	if m.adm.DegradeAt > 0 {
-		pending := int(m.pending.Load())
-		switch {
-		case !m.degraded && pending >= m.adm.DegradeAt:
-			m.degraded = true
-			m.emit(Event{Type: EventDegrade})
-		case m.degraded && pending <= m.adm.resumeAt():
-			if err := m.catchUpLocked(); err != nil {
-				return err
-			}
-		}
-	}
 	return nil
-}
-
-// deferredSubmit is one degraded-mode acknowledgement awaiting its check:
-// the context plus the logical clock at acknowledgement time, so catch-up
-// can replay the expiry sweeps the inline path would have run.
-type deferredSubmit struct {
-	c     *ctx.Context
-	clock time.Time
-}
-
-// deferSubmitLocked acknowledges a submission in degraded mode: the
-// context is queued and its defer event counts and journals it, but it is
-// not added to the pool and not checked. Journaling the submit record at
-// acknowledgement time is sound because a recovery replays it through the
-// eager-checking path, which the catch-up equivalence makes identical to
-// what catch-up will build.
-func (m *Middleware) deferSubmitLocked(c *ctx.Context) error {
-	// Duplicates must surface now, exactly as the inline path's pool
-	// insertion would have reported them.
-	if _, dup := m.pool.Get(c.ID); dup || m.deferredIDs[c.ID] {
-		return fmt.Errorf("submit: add %s: %w", c.ID, pool.ErrDuplicate)
-	}
-	if c.Timestamp.After(m.clock) {
-		m.clock = c.Timestamp
-	}
-	m.emit(Event{Type: EventDefer, Context: c})
-	if m.deferredIDs == nil {
-		m.deferredIDs = make(map[ctx.ID]bool)
-	}
-	m.deferredIDs[c.ID] = true
-	m.deferredQ = append(m.deferredQ, deferredSubmit{c: c, clock: m.clock})
-	return nil
-}
-
-// catchUpLocked leaves degraded mode and replays the deferred queue
-// through the inline pipeline, in arrival order, sweeping expiry forward
-// to each entry's acknowledgement-time clock first — the exact operation
-// sequence the always-check path would have executed. A watchdog abort on
-// one entry does not stop the rest; the first error is returned.
-func (m *Middleware) catchUpLocked() error {
-	if !m.degraded && len(m.deferredQ) == 0 {
-		return nil
-	}
-	batch := m.deferredQ
-	m.deferredQ = nil
-	m.deferredIDs = nil
-	m.degraded = false
-	m.emit(Event{Type: EventCatchUp, N: len(batch)})
-	var firstErr error
-	for _, d := range batch {
-		m.sweepAtLocked(d.clock)
-		if _, err := m.processSubmitLocked(d.c, true); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
-}
-
-// CatchUp forces any deferred consistency checks to run now. It is a
-// no-op when the middleware is not degraded; read operations call the
-// same path implicitly.
-func (m *Middleware) CatchUp() (err error) {
-	opStart := m.tel.now()
-	var wait commitWait
-	defer m.commitDurable(&wait, &err)
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.curSpan = m.tel.startSpan("catchup", "", opStart, telemetry.TraceContext{})
-	defer func() { m.opDone("catchup", opStart, outcome(err, "caught-up")) }()
-	defer m.flushLocked(&err, &wait)
-	if err := m.journalHealthLocked(); err != nil {
-		return err
-	}
-	return m.catchUpLocked()
 }
 
 // checkGuardedLocked runs the consistency check for one addition — under
@@ -381,17 +251,12 @@ func (m *Middleware) resolveUseLocked(c *ctx.Context) (usable bool, out strategy
 }
 
 // rollbackSubmitLocked unwinds a submission whose check or resolution the
-// watchdog aborted. For an inline submission no accept event exists yet
-// (the fallible stages run first), so removing the context from the pool
-// and journaling a check-fail annotation restores exactly the state a
-// recovery would reconstruct. For a deferred submission the submit record
-// is already committed, so the journal is fail-stopped rather than left
-// claiming a context the live state dropped.
-func (m *Middleware) rollbackSubmitLocked(c *ctx.Context, deferred bool, cause error) error {
+// watchdog aborted. No accept event exists yet (the fallible stages run
+// first), so removing the context from the pool and journaling a
+// check-fail annotation restores exactly the state a recovery would
+// reconstruct.
+func (m *Middleware) rollbackSubmitLocked(c *ctx.Context, cause error) error {
 	_ = m.pool.Remove(c.ID)
-	m.emit(Event{Type: EventCheckAbort, Context: c, Err: cause, Deferred: deferred})
-	if deferred && m.journal != nil && m.journalErr == nil {
-		m.journalErr = fmt.Errorf("deferred submission %s aborted after its record was journaled: %v", c.ID, cause)
-	}
+	m.emit(Event{Type: EventCheckAbort, Context: c, Err: cause})
 	return fmt.Errorf("submit %s: %w", c.ID, cause)
 }

@@ -10,7 +10,6 @@ import (
 	"ctxres/internal/constraint"
 	"ctxres/internal/ctx"
 	"ctxres/internal/health"
-	"ctxres/internal/pool"
 	"ctxres/internal/strategy"
 	"ctxres/internal/testutil/leakcheck"
 )
@@ -109,113 +108,6 @@ func TestDeadlineShed(t *testing.T) {
 	// A live deadline admits normally.
 	if _, err := m.SubmitOpts(loc("d2", 2, 0), SubmitOptions{Deadline: time.Now().Add(time.Minute)}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestDegradedDifferential is the acceptance test for degraded mode:
-// a run that defers every consistency check and catches up later must be
-// byte-identical — pool, Σ, counters — to the always-check run on the
-// same workload.
-func TestDegradedDifferential(t *testing.T) {
-	build := func(degraded bool) *Middleware {
-		opts := []Option{}
-		if degraded {
-			// DegradeAt 1 makes every submission defer (pending includes
-			// the submission itself), so the whole workload is replayed by
-			// catch-up.
-			opts = append(opts, WithAdmission(AdmissionOptions{DegradeAt: 1}))
-		}
-		return New(velocityChecker(t, 100, 1.5), strategy.NewDropBad(), opts...)
-	}
-	eager, lazy := build(false), build(true)
-
-	// Phase 1: same workload into both; the lazy run defers everything.
-	submitAll(t, eager, jitterWorkload())
-	submitAll(t, lazy, jitterWorkload())
-	if !lazy.Resilience().Degraded {
-		t.Fatal("lazy middleware never degraded")
-	}
-	if lazy.Resilience().DeferredChecks == 0 {
-		t.Fatal("no checks were deferred")
-	}
-	if err := lazy.CatchUp(); err != nil {
-		t.Fatal(err)
-	}
-	if lazy.Resilience().Degraded {
-		t.Fatal("still degraded after catch-up")
-	}
-	if e, l := durableFingerprint(t, eager), durableFingerprint(t, lazy); e != l {
-		t.Fatalf("phase 1 fingerprints diverge:\neager: %s\nlazy:  %s", e, l)
-	}
-
-	// Phase 2: interleave reads (which force catch-up implicitly) with a
-	// second submission wave.
-	for _, m := range []*Middleware{eager, lazy} {
-		if _, err := m.UseLatest(ctx.KindLocation, "peter"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	more := func() []*ctx.Context {
-		return []*ctx.Context{
-			loc("m1", 60, 39), loc("m2", 61, 90), loc("m3", 62, 41),
-		}
-	}
-	submitAll(t, eager, more())
-	submitAll(t, lazy, more())
-	c1, err1 := eager.UseLatest(ctx.KindLocation, "peter")
-	c2, err2 := lazy.UseLatest(ctx.KindLocation, "peter")
-	if (err1 == nil) != (err2 == nil) || (err1 == nil && c1.ID != c2.ID) {
-		t.Fatalf("delivery diverged: %v/%v vs %v/%v", c1, err1, c2, err2)
-	}
-	if e, l := durableFingerprint(t, eager), durableFingerprint(t, lazy); e != l {
-		t.Fatalf("phase 2 fingerprints diverge:\neager: %s\nlazy:  %s", e, l)
-	}
-	if es, ls := eager.Stats(), lazy.Stats(); es != ls {
-		t.Fatalf("stats diverge: eager %+v, lazy %+v", es, ls)
-	}
-}
-
-func TestDegradedReadForcesCatchUp(t *testing.T) {
-	m := New(velocityChecker(t, 1, 1.5), strategy.NewDropLatest(),
-		WithAdmission(AdmissionOptions{DegradeAt: 1}))
-	c := loc("r1", 1, 0)
-	if _, err := m.Submit(c); err != nil {
-		t.Fatal(err)
-	}
-	if !m.Resilience().Degraded || m.Pool().Len() != 0 {
-		t.Fatalf("degraded=%v poolLen=%d, want deferred acknowledgement", m.Resilience().Degraded, m.Pool().Len())
-	}
-	got, err := m.Use(c.ID)
-	if err != nil || got.ID != c.ID {
-		t.Fatalf("use after deferral: %v, %v", got, err)
-	}
-	if m.Resilience().Degraded {
-		t.Fatal("read did not force catch-up")
-	}
-	if rs := m.Resilience(); rs.CatchUps != 1 || rs.DeferredPending != 0 {
-		t.Fatalf("resilience = %+v", rs)
-	}
-}
-
-func TestDegradedDuplicateRejected(t *testing.T) {
-	m := New(velocityChecker(t, 1, 1.5), strategy.NewDropLatest(),
-		WithAdmission(AdmissionOptions{DegradeAt: 1}))
-	if _, err := m.Submit(loc("dup", 1, 0)); err != nil {
-		t.Fatal(err)
-	}
-	// Duplicate of a deferred (not yet pooled) context.
-	if _, err := m.Submit(loc("dup", 2, 1)); !errors.Is(err, pool.ErrDuplicate) {
-		t.Fatalf("err = %v, want ErrDuplicate", err)
-	}
-	if err := m.CatchUp(); err != nil {
-		t.Fatal(err)
-	}
-	// Duplicate of the now-pooled context.
-	if _, err := m.Submit(loc("dup", 3, 2)); !errors.Is(err, pool.ErrDuplicate) {
-		t.Fatalf("err = %v, want ErrDuplicate", err)
-	}
-	if st := m.Stats(); st.Submitted != 1 {
-		t.Fatalf("submitted = %d, want 1", st.Submitted)
 	}
 }
 
@@ -363,77 +255,6 @@ func TestQuarantineTripAndRecover(t *testing.T) {
 	}
 }
 
-// TestDegradedJournalRecovery pins the soundness of journaling deferred
-// submissions at acknowledgement time: a recovery replays them through
-// the eager-checking path, which must land on the same state catch-up
-// built live.
-func TestDegradedJournalRecovery(t *testing.T) {
-	dir := t.TempDir()
-	build := func() *Middleware {
-		return New(velocityChecker(t, 100, 1.5), strategy.NewDropBad(),
-			WithAdmission(AdmissionOptions{DegradeAt: 1}))
-	}
-	m := build()
-	if err := m.AttachJournal(openTestJournal(t, dir)); err != nil {
-		t.Fatal(err)
-	}
-	submitAll(t, m, jitterWorkload())
-	if !m.Resilience().Degraded {
-		t.Fatal("never degraded")
-	}
-	// CloseJournal must catch up before the final stats annotation.
-	if err := m.CloseJournal(); err != nil {
-		t.Fatal(err)
-	}
-	if m.Resilience().Degraded {
-		t.Fatal("CloseJournal did not catch up")
-	}
-	rec, rep, err := Recover(dir, build)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.StatsChecked == 0 {
-		t.Fatal("recovery never cross-checked stats")
-	}
-	if live, rcv := durableFingerprint(t, m), durableFingerprint(t, rec); live != rcv {
-		t.Fatalf("recovered state diverges:\nlive:      %s\nrecovered: %s", live, rcv)
-	}
-}
-
-// TestDegradedCheckpoint covers the snapshot path: a checkpoint taken
-// while degraded must fold the deferred submissions in first, since their
-// submit records are already inside the snapshot's covered prefix.
-func TestDegradedCheckpoint(t *testing.T) {
-	dir := t.TempDir()
-	build := func() *Middleware {
-		return New(velocityChecker(t, 100, 1.5), strategy.NewDropBad(),
-			WithAdmission(AdmissionOptions{DegradeAt: 1}))
-	}
-	m := build()
-	if err := m.AttachJournal(openTestJournal(t, dir)); err != nil {
-		t.Fatal(err)
-	}
-	work := jitterWorkload()
-	submitAll(t, m, work[:20])
-	if err := m.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	if m.Resilience().Degraded {
-		t.Fatal("Checkpoint did not catch up")
-	}
-	submitAll(t, m, work[20:])
-	if err := m.CloseJournal(); err != nil {
-		t.Fatal(err)
-	}
-	rec, _, err := Recover(dir, build)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if live, rcv := durableFingerprint(t, m), durableFingerprint(t, rec); live != rcv {
-		t.Fatalf("recovered state diverges:\nlive:      %s\nrecovered: %s", live, rcv)
-	}
-}
-
 // TestWatchdogRollbackJournal verifies a watchdog abort leaves no submit
 // record behind: recovery rebuilds a state without the aborted context.
 func TestWatchdogRollbackJournal(t *testing.T) {
@@ -477,14 +298,11 @@ func TestWatchdogRollbackJournal(t *testing.T) {
 }
 
 // TestDefaultsUnchanged pins that a middleware without any resilience
-// option reports zeroed resilience stats and never defers or sheds.
+// option reports zeroed resilience stats and never sheds.
 func TestDefaultsUnchanged(t *testing.T) {
 	m := New(velocityChecker(t, 100, 1.5), strategy.NewDropBad())
 	submitAll(t, m, jitterWorkload())
 	if rs := m.Resilience(); rs != (ResilienceStats{}) {
 		t.Fatalf("resilience = %+v, want zero value", rs)
-	}
-	if m.Resilience().Degraded {
-		t.Fatal("degraded without admission options")
 	}
 }

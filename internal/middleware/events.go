@@ -19,8 +19,7 @@ type EventType uint8
 // Event types. A submission's accept is followed directly by its detects,
 // then by the discards its resolution made.
 const (
-	EventAccept     EventType = iota + 1 // Context entered the pool (see Checked, Deferred)
-	EventDefer                           // Context was acknowledged in degraded mode, its check deferred
+	EventAccept     EventType = iota + 1 // Context entered the pool (see Checked)
 	EventDetect                          // the check of the preceding accept found Violation
 	EventUse                             // a use of Context reached the strategy
 	EventDiscard                         // the strategy discarded Context, for Reason
@@ -33,15 +32,12 @@ const (
 	EventAdvance                         // the logical clock moved forward to Time
 	EventCompact                         // compaction removed N pool entries
 	EventShed                            // admission control dropped a submission: Cause is queue, deadline or quarantine
-	EventDegrade                         // consistency checking began to be deferred
-	EventCatchUp                         // degraded mode ended, replaying N deferred submissions
 )
 
 // Event is one life-cycle fact of a locked operation. Besides Time, the
 // logical clock it happened at, only the fields its type names are set.
 // Checked marks an accept whose context was checked (its kind is relevant
-// to a constraint). Deferred marks the accept, or check-abort, of a
-// submission an earlier defer event already counted and journaled.
+// to a constraint).
 type Event struct {
 	Type      EventType
 	Context   *ctx.Context
@@ -50,7 +46,6 @@ type Event struct {
 	Reason    DiscardReason
 	Situation situation.Event
 	Checked   bool
-	Deferred  bool
 	Err       error
 	Cause     string
 	N         int
@@ -78,9 +73,10 @@ func (m *Middleware) emit(e Event) {
 
 // flushLocked ends a locked operation: it hands the operation's events to
 // each sink in turn — journal, accounting, health, provenance, delta hook,
-// life-cycle hook — and empties the list. Every entry point defers it
-// after taking the lock. A journal failure is surfaced through errp; under
-// group commit the durability obligation moves to wait.
+// life-cycle hook — and empties the list. Every entry point that emits
+// events defers it after taking the lock. A journal failure is surfaced
+// through errp; under group commit the durability obligation moves to
+// wait.
 func (m *Middleware) flushLocked(errp *error, wait *commitWait) {
 	evs := m.events
 	if len(evs) == 0 {
@@ -121,8 +117,8 @@ func resolution(evs []Event, i int) (detects, discards []Event) {
 // record returns the journal record an event writes, if any.
 func (e *Event) record() (wal.Record, bool) {
 	switch e.Type {
-	case EventAccept, EventDefer:
-		return wal.Record{Type: wal.RecordSubmit, Context: e.Context}, !e.Deferred
+	case EventAccept:
+		return wal.Record{Type: wal.RecordSubmit, Context: e.Context}, true
 	case EventUse:
 		return wal.Record{Type: wal.RecordUse, ID: e.Context.ID}, true
 	case EventDiscard:
@@ -174,10 +170,8 @@ func (m *Middleware) account(evs []Event) {
 		e := &evs[i]
 		switch e.Type {
 		case EventAccept:
-			if !e.Deferred {
-				m.stats.Submitted++
-				m.tel.submits.Inc()
-			}
+			m.stats.Submitted++
+			m.tel.submits.Inc()
 			if e.Checked {
 				decision := "keep"
 				if _, discards := resolution(evs, i); len(discards) > 0 {
@@ -185,11 +179,6 @@ func (m *Middleware) account(evs []Event) {
 				}
 				m.tel.decisions.With(decision).Inc()
 			}
-		case EventDefer:
-			m.stats.Submitted++
-			m.tel.submits.Inc()
-			m.res.DeferredChecks++
-			m.tel.deferredChecks.Inc()
 		case EventDetect:
 			m.stats.Detected++
 			m.tel.detected.Inc()
@@ -221,9 +210,6 @@ func (m *Middleware) account(evs []Event) {
 				m.res.CheckPanics++
 				m.tel.checkAborts.With("panic").Inc()
 			}
-			if e.Deferred {
-				m.stats.Submitted--
-			}
 		case EventCompact:
 			m.stats.Compactions++
 			m.stats.CompactRemoved += e.N
@@ -239,15 +225,6 @@ func (m *Middleware) account(evs []Event) {
 				m.tel.shed.With("deadline").Inc()
 			case "quarantine":
 				m.res.Quarantined++
-			}
-		case EventDegrade:
-			m.res.DegradedEnters++
-			m.tel.degraded.Set(1)
-		case EventCatchUp:
-			m.tel.degraded.Set(0)
-			if e.N > 0 {
-				m.res.CatchUps++
-				m.tel.catchups.Inc()
 			}
 		}
 	}

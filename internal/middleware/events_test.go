@@ -21,8 +21,8 @@ func eventString(e Event) string {
 	if e.Context != nil {
 		id = e.Context.ID
 	}
-	return fmt.Sprintf("%d %s %s %s %s %s %v %v %v %q %d", e.Type, e.Time.Format(time.RFC3339Nano), id,
-		e.Violation, e.Reason, e.Situation, e.Checked, e.Deferred, e.Err, e.Cause, e.N)
+	return fmt.Sprintf("%d %s %s %s %s %s %v %v %q %d", e.Type, e.Time.Format(time.RFC3339Nano), id,
+		e.Violation, e.Reason, e.Situation, e.Checked, e.Err, e.Cause, e.N)
 }
 
 // TestRecoverReplaysEventStream records a seeded journaled run of each

@@ -213,8 +213,7 @@ func (m *Middleware) Fingerprint() (string, error) {
 }
 
 // appendStatsLocked journals a stats annotation carrying the current
-// counters, so recovery can cross-check the replayed state. The
-// operation's events must be flushed first, so the counters include them.
+// counters, so recovery can cross-check the replayed state.
 func (m *Middleware) appendStatsLocked(errp *error, wait *commitWait) {
 	blob, _ := json.Marshal(m.stats) // integers only: cannot fail
 	m.appendLocked(wal.Record{Type: wal.RecordStats, Stats: blob}, errp, wait)
@@ -228,20 +227,10 @@ func (m *Middleware) Checkpoint() (err error) {
 	defer m.commitDurable(&wait, &err)
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	defer m.flushLocked(&err, &wait)
 	if m.journal == nil {
 		return ErrNoJournal
 	}
 	if err := m.journalHealthLocked(); err != nil {
-		return err
-	}
-	// Deferred checks must land before the snapshot: the snapshot covers
-	// their already-committed submit records, so it must also contain
-	// their effects, counters included.
-	if err := m.catchUpLocked(); err != nil {
-		return err
-	}
-	if m.flushLocked(&err, &wait); err != nil {
 		return err
 	}
 	snap, err := m.snapshotLocked(m.journal.LastSeq())
@@ -265,13 +254,7 @@ func (m *Middleware) CloseJournal() error {
 	if m.journal == nil {
 		return nil
 	}
-	if m.journalErr == nil {
-		// Deferred checks must land before the final stats annotation so
-		// the journaled counters match an eager-checking replay.
-		_ = m.catchUpLocked()
-	}
 	// No commitWait: Close below syncs everything unconditionally.
-	m.flushLocked(nil, nil)
 	if m.journalErr == nil {
 		m.appendStatsLocked(nil, nil)
 	}

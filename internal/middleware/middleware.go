@@ -116,19 +116,15 @@ type Middleware struct {
 	// operations in flight — the one holding the lock plus those queued
 	// behind it — and is only maintained when admission control is
 	// enabled; queueShed counts those shed before taking the lock, res
-	// the rest. deferredQ holds degraded-mode acknowledgements awaiting
-	// their consistency checks; replaying disables the admission gates
-	// while Recover drives the public entry points.
-	adm         AdmissionOptions
-	wd          WatchdogOptions
-	health      *health.Tracker
-	pending     atomic.Int64
-	queueShed   atomic.Int64
-	res         ResilienceStats
-	degraded    bool
-	deferredQ   []deferredSubmit
-	deferredIDs map[ctx.ID]bool
-	replaying   bool
+	// the rest. replaying disables the admission gates while Recover
+	// drives the public entry points.
+	adm       AdmissionOptions
+	wd        WatchdogOptions
+	health    *health.Tracker
+	pending   atomic.Int64
+	queueShed atomic.Int64
+	res       ResilienceStats
+	replaying bool
 }
 
 // Option configures the middleware.
@@ -184,9 +180,8 @@ func (m *Middleware) Submit(c *ctx.Context) ([]constraint.Violation, error) {
 // SubmitOpts is Submit with per-call admission options. When admission
 // control, a health tracker, or a watchdog is configured (admission.go),
 // the submission passes their gates first: a full pending queue or an
-// expired client deadline sheds it with ErrOverloaded, a quarantined
-// source drops it with ErrQuarantined, and in degraded mode it is
-// acknowledged with its consistency check deferred.
+// expired client deadline sheds it with ErrOverloaded, and a quarantined
+// source drops it with ErrQuarantined.
 func (m *Middleware) SubmitOpts(c *ctx.Context, so SubmitOptions) (vios []constraint.Violation, err error) {
 	// The durability wait is deferred first so (LIFO) it runs after the
 	// lock inside submitOne is released: under group commit, concurrent
@@ -255,35 +250,15 @@ func (m *Middleware) submitOne(c *ctx.Context, so SubmitOptions, wait *commitWai
 	if err := m.gateLocked(c, so); err != nil {
 		return nil, err
 	}
-	if m.degraded {
-		if err := m.deferSubmitLocked(c); err != nil {
-			return nil, err
-		}
-		ok = "deferred"
-		return nil, nil
-	}
-
 	if c.Timestamp.After(m.clock) {
 		m.clock = c.Timestamp
 	}
 	m.sweepLocked()
-	vios, err = m.processSubmitLocked(c, false)
-	if err != nil {
-		return nil, err
-	}
-	if len(vios) > 0 {
-		ok = "inconsistent"
-	}
-	return vios, nil
-}
 
-// processSubmitLocked runs the inline pipeline for one admitted context:
-// pool insertion, consistency check, strategy resolution, and its events.
-// The fallible stages (check, resolve — the ones a watchdog can abort) run
-// before the accept event, so an abort unwinds via rollbackSubmitLocked
-// without a submit record. deferred marks catch-up replays of
-// degraded-mode submissions, acknowledged by an earlier defer event.
-func (m *Middleware) processSubmitLocked(c *ctx.Context, deferred bool) ([]constraint.Violation, error) {
+	// Pool insertion, consistency check, strategy resolution. The fallible
+	// stages (check, resolve — the ones a watchdog can abort) run before
+	// the accept event, so an abort unwinds via rollbackSubmitLocked
+	// without a submit record.
 	relevant := m.checker.Relevant(c.Kind)
 	if !relevant {
 		// Part 1 fast path: irrelevant to every constraint — directly
@@ -295,7 +270,6 @@ func (m *Middleware) processSubmitLocked(c *ctx.Context, deferred bool) ([]const
 	if err := m.pool.Add(c); err != nil {
 		return nil, fmt.Errorf("submit: %w", err)
 	}
-	var vios []constraint.Violation
 	var out strategy.Outcome
 	var resolveStart time.Time
 	if relevant {
@@ -304,21 +278,24 @@ func (m *Middleware) processSubmitLocked(c *ctx.Context, deferred bool) ([]const
 		vios, cerr = m.checkGuardedLocked(c)
 		m.tel.stageDone(m.curSpan, telemetry.StageCheck, checkStart)
 		if cerr != nil {
-			return nil, m.rollbackSubmitLocked(c, deferred, cerr)
+			return nil, m.rollbackSubmitLocked(c, cerr)
 		}
 		resolveStart = m.tel.now()
 		out, cerr = m.resolveAdditionLocked(c, vios)
 		if cerr != nil {
 			m.tel.stageDone(m.curSpan, telemetry.StageResolve, resolveStart)
-			return nil, m.rollbackSubmitLocked(c, deferred, cerr)
+			return nil, m.rollbackSubmitLocked(c, cerr)
 		}
 	}
-	m.emit(Event{Type: EventAccept, Context: c, Checked: relevant, Deferred: deferred})
+	m.emit(Event{Type: EventAccept, Context: c, Checked: relevant})
 	for _, v := range vios {
 		m.emit(Event{Type: EventDetect, Context: c, Violation: v})
 	}
 	m.applyLocked(out, ReasonOnAddition) // no-op for an unchecked context
 	m.tel.stageDone(m.curSpan, telemetry.StageResolve, resolveStart)
+	if len(vios) > 0 {
+		ok = "inconsistent"
+	}
 	return vios, nil
 }
 
@@ -364,9 +341,6 @@ func (m *Middleware) use(op string, id ctx.ID, kind ctx.Kind, subject string, tr
 	defer func() { m.opDone(op, opStart, outcome(err, "delivered")) }()
 	defer m.flushLocked(&err, &wait)
 	if err := m.journalHealthLocked(); err != nil {
-		return nil, err
-	}
-	if err := m.catchUpLocked(); err != nil {
 		return nil, err
 	}
 	m.sweepLocked()
@@ -448,6 +422,21 @@ func (m *Middleware) evaluateSituationsLocked() {
 	}
 }
 
+// Situations reports the activation state of every situation of the
+// installed engine, read under the lock that deliveries update it under.
+// It is empty without an engine.
+func (m *Middleware) Situations() map[string]bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	active := make(map[string]bool)
+	if m.situations != nil {
+		for _, sit := range m.situations.Situations() {
+			active[sit.Name] = m.situations.Active(sit.Name)
+		}
+	}
+	return active
+}
+
 // AdvanceTo moves the logical clock forward (e.g. to expire contexts at
 // the end of a run) and sweeps expiry. Moving backwards is a no-op.
 func (m *Middleware) AdvanceTo(now time.Time) {
@@ -456,9 +445,6 @@ func (m *Middleware) AdvanceTo(now time.Time) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	defer m.flushLocked(nil, &wait)
-	// Deferred checks replay before the clock moves, so their recorded
-	// sweep points stay behind it (and match the journal's record order).
-	_ = m.catchUpLocked()
 	if now.After(m.clock) {
 		m.clock = now
 		m.emit(Event{Type: EventAdvance})
@@ -482,24 +468,16 @@ func (m *Middleware) Compact() (removed int, err error) {
 	if err := m.journalHealthLocked(); err != nil {
 		return 0, err
 	}
-	if err := m.catchUpLocked(); err != nil {
-		return 0, err
-	}
 	m.sweepLocked()
 	removed = m.pool.Compact()
 	m.emit(Event{Type: EventCompact, N: removed})
 	return removed, nil
 }
 
-func (m *Middleware) sweepLocked() { m.sweepAtLocked(m.clock) }
-
-// sweepAtLocked expires entries as of the given logical time. Ordinary
-// operations sweep at the current clock; degraded-mode catch-up sweeps
-// forward to each deferred submission's acknowledgement-time clock to
-// replay the inline path's exact expiry sequence.
-func (m *Middleware) sweepAtLocked(now time.Time) {
-	for _, c := range m.pool.SweepExpired(now) {
-		m.emit(Event{Type: EventExpire, Context: c, Time: now})
+// sweepLocked expires entries as of the current logical clock.
+func (m *Middleware) sweepLocked() {
+	for _, c := range m.pool.SweepExpired(m.clock) {
+		m.emit(Event{Type: EventExpire, Context: c})
 		m.strat.OnExpire(c)
 	}
 }

@@ -57,11 +57,8 @@ type pipelineTelemetry struct {
 	decisions  *telemetry.CounterVec // by strategy decision
 
 	// Overload-resilience instruments (see admission.go).
-	deferredChecks *telemetry.Counter
-	catchups       *telemetry.Counter
-	degraded       *telemetry.Gauge
-	shed           *telemetry.CounterVec // by shed cause: queue, deadline
-	checkAborts    *telemetry.CounterVec // by watchdog abort cause: timeout, panic
+	shed        *telemetry.CounterVec // by shed cause: queue, deadline
+	checkAborts *telemetry.CounterVec // by watchdog abort cause: timeout, panic
 
 	stages *telemetry.HistogramVec // per pipeline stage
 	ops    *telemetry.HistogramVec // per middleware entry point
@@ -80,9 +77,6 @@ func newPipelineTelemetry(reg *telemetry.Registry, sink telemetry.SpanSink) pipe
 	t.situations = reg.Counter("ctxres_situations_total", "Situation activation events.")
 	t.compactions = reg.Counter("ctxres_compactions_total", "Compact calls.")
 	t.compactRemoved = reg.Counter("ctxres_compact_removed_total", "Pool entries dropped by compaction.")
-	t.deferredChecks = reg.Counter("ctxres_deferred_checks_total", "Submissions acknowledged with their consistency check deferred (degraded mode).")
-	t.catchups = reg.Counter("ctxres_catchups_total", "Degraded-mode catch-up batches replayed.")
-	t.degraded = reg.Gauge("ctxres_degraded_mode", "1 while consistency checking is deferred under load.")
 	t.shed = reg.CounterVec("ctxres_overload_shed_total", "Submissions shed by admission control.", "cause")
 	t.checkAborts = reg.CounterVec("ctxres_check_aborts_total", "Pipeline stages aborted by the check watchdog.", "cause")
 	t.discards = reg.CounterVec("ctxres_discards_total", "Contexts discarded by the resolution strategy.", "reason")

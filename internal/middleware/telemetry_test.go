@@ -260,10 +260,10 @@ func TestTelemetryRaceStress(t *testing.T) {
 }
 
 // TestResilienceCountersMatchTelemetry drives every overload mechanism —
-// a full pending queue, a passed deadline, a degraded-mode deferral and
-// its catch-up, a watchdog timeout — on middlewares that share one
-// registry, and asserts the telemetry counters equal the summed
-// Resilience snapshots.
+// a full pending queue, a passed deadline, a watchdog timeout — on
+// middlewares that share one registry, and asserts the telemetry counters
+// equal the summed Resilience snapshots, and the mirrored counters the
+// summed Stats: each fact is counted once, aborts included.
 func TestResilienceCountersMatchTelemetry(t *testing.T) {
 	reg := telemetry.NewRegistry()
 
@@ -285,19 +285,18 @@ func TestResilienceCountersMatchTelemetry(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Deadline shed, then deferral and catch-up: DegradeAt 1 defers every
-	// submission, and the use forces the catch-up.
-	degraded := New(velocityChecker(t, 1, 1.5), strategy.NewDropLatest(), WithTelemetry(reg),
-		WithAdmission(AdmissionOptions{DegradeAt: 1}))
-	if _, err := degraded.SubmitOpts(loc("late", 1, 0), SubmitOptions{Deadline: time.Now().Add(-time.Second)}); !errors.Is(err, ErrOverloaded) {
+	// Deadline shed, then submissions (one a velocity jump that is
+	// detected and discarded) and a delivery.
+	late := New(velocityChecker(t, 1, 1.5), strategy.NewDropLatest(), WithTelemetry(reg))
+	if _, err := late.SubmitOpts(loc("late", 1, 0), SubmitOptions{Deadline: time.Now().Add(-time.Second)}); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("deadline shed: err = %v, want ErrOverloaded", err)
 	}
 	for i, x := range []float64{0, 1, 9} {
-		if _, err := degraded.Submit(loc(fmt.Sprintf("d%d", i), uint64(i+1), x)); err != nil {
+		if _, err := late.Submit(loc(fmt.Sprintf("d%d", i), uint64(i+1), x)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := degraded.Use("d0"); err != nil {
+	if _, err := late.Use("d0"); err != nil {
 		t.Fatal(err)
 	}
 
@@ -308,18 +307,17 @@ func TestResilienceCountersMatchTelemetry(t *testing.T) {
 		t.Fatalf("watchdog: err = %v, want ErrCheckTimeout", err)
 	}
 
+	ms := []*Middleware{queued, late, watched}
 	var rs ResilienceStats
-	for _, m := range []*Middleware{queued, degraded, watched} {
+	for _, m := range ms {
 		r := m.Resilience()
 		rs.OverloadShed += r.OverloadShed
 		rs.DeadlineShed += r.DeadlineShed
-		rs.DeferredChecks += r.DeferredChecks
-		rs.CatchUps += r.CatchUps
 		rs.CheckTimeouts += r.CheckTimeouts
 		rs.CheckPanics += r.CheckPanics
 	}
-	if rs.OverloadShed != 1 || rs.DeadlineShed != 1 || rs.DeferredChecks != 3 || rs.CatchUps != 1 || rs.CheckTimeouts != 1 {
-		t.Fatalf("resilience = %+v, want one of each and three deferred checks", rs)
+	if rs.OverloadShed != 1 || rs.DeadlineShed != 1 || rs.CheckTimeouts != 1 {
+		t.Fatalf("resilience = %+v, want one of each", rs)
 	}
 	snap := reg.Snapshot()
 	for _, tc := range []struct {
@@ -328,13 +326,33 @@ func TestResilienceCountersMatchTelemetry(t *testing.T) {
 	}{
 		{`ctxres_overload_shed_total{cause="queue"}`, rs.OverloadShed},
 		{`ctxres_overload_shed_total{cause="deadline"}`, rs.DeadlineShed},
-		{"ctxres_deferred_checks_total", rs.DeferredChecks},
-		{"ctxres_catchups_total", rs.CatchUps},
 		{`ctxres_check_aborts_total{cause="timeout"}`, rs.CheckTimeouts},
 		{`ctxres_check_aborts_total{cause="panic"}`, rs.CheckPanics},
 	} {
 		if got := snap.Counters[tc.key]; got != float64(tc.want) {
 			t.Errorf("%s = %v, Resilience says %d", tc.key, got, tc.want)
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		stat func(Stats) int
+	}{
+		{"ctxres_submits_total", func(s Stats) int { return s.Submitted }},
+		{"ctxres_detected_total", func(s Stats) int { return s.Detected }},
+		{"ctxres_delivered_total", func(s Stats) int { return s.Delivered }},
+		{"ctxres_rejected_total", func(s Stats) int { return s.Rejected }},
+		{"ctxres_expired_total", func(s Stats) int { return s.Expired }},
+		{"ctxres_situations_total", func(s Stats) int { return s.Situations }},
+		{"ctxres_compactions_total", func(s Stats) int { return s.Compactions }},
+		{"ctxres_compact_removed_total", func(s Stats) int { return s.CompactRemoved }},
+		{"ctxres_discards_total", func(s Stats) int { return s.Discarded }},
+	} {
+		want := 0
+		for _, m := range ms {
+			want += tc.stat(m.Stats())
+		}
+		if got := sumByPrefix(snap, tc.name); got != float64(want) {
+			t.Errorf("%s = %v, summed Stats say %d", tc.name, got, want)
 		}
 	}
 }

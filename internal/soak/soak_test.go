@@ -137,7 +137,7 @@ func TestSoakStorm(t *testing.T) {
 	tracker.Register(reg)
 	mw := middleware.New(soakChecker(), strategy.NewDropBad(),
 		middleware.WithTelemetry(reg),
-		middleware.WithAdmission(middleware.AdmissionOptions{MaxPending: 4, DegradeAt: 3}),
+		middleware.WithAdmission(middleware.AdmissionOptions{MaxPending: 4}),
 		middleware.WithWatchdog(middleware.WatchdogOptions{CheckTimeout: 2 * time.Second}),
 		middleware.WithHealth(tracker),
 	)
@@ -188,8 +188,8 @@ func TestSoakStorm(t *testing.T) {
 
 	// Steady producers: well-behaved sources that submit, then read their
 	// context back. The read retires the entry from the checking buffer
-	// (bounding the universe) and forces degraded-mode catch-up, and the
-	// finite TTL lets compaction reclaim it once used.
+	// (bounding the universe), and the finite TTL lets compaction reclaim
+	// it once used.
 	for i := 0; i < 3; i++ {
 		wg.Add(1)
 		go func(i int) {
@@ -303,9 +303,9 @@ func TestSoakStorm(t *testing.T) {
 	// Burst clients: anonymous sources (exempt from quarantine) that
 	// hammer the daemon in pulses with a tight per-request budget. Their
 	// contexts carry the "slow" tag, so each one costs real checking
-	// time: the submit queue fills, degraded mode engages, and catch-up
-	// stalls push later arrivals past their deadline — both flavors of
-	// the typed overloaded rejection.
+	// time: the submit queue fills, and checks queued behind the lock
+	// push later arrivals past their deadline — both flavors of the typed
+	// overloaded rejection.
 	for i := 0; i < 4; i++ {
 		wg.Add(1)
 		go func(i int) {
@@ -344,9 +344,8 @@ func TestSoakStorm(t *testing.T) {
 	wg.Wait()
 
 	// Clean recovery: a fresh, patient client must get full service
-	// through the same chaos listener. The first submits may surface a
-	// deferred poisoned check aborting during catch-up, so allow a few
-	// attempts with fresh IDs.
+	// through the same chaos listener. A submit whose reply the chaos
+	// cut may still have landed, so allow a few attempts with fresh IDs.
 	post, err := daemon.DialOptions(addr, daemon.ClientOptions{
 		Timeout:     5 * time.Second,
 		MaxAttempts: 8,
@@ -387,10 +386,6 @@ func TestSoakStorm(t *testing.T) {
 	}
 	if rs.OverloadShed+rs.DeadlineShed == 0 {
 		t.Errorf("middleware recorded no shedding: %+v", rs)
-	}
-	if rs.DeferredChecks == 0 || rs.CatchUps == 0 {
-		t.Errorf("degraded mode never cycled: deferred=%d catchups=%d",
-			rs.DeferredChecks, rs.CatchUps)
 	}
 	if rs.CheckPanics == 0 {
 		t.Error("watchdog never contained a poisoned check")

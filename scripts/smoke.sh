@@ -38,8 +38,11 @@ wait_line() {
 # these two binaries.
 go build -o "$workdir/ctxmwd" ./cmd/ctxmwd
 go build -o "$workdir/smoke" ./scripts/smoke
+# The first daemon runs with every admission gate on (queue cap, check
+# watchdog, source breakers), so each stays on a path the smoke exercises.
 "$workdir/ctxmwd" -addr 127.0.0.1:0 -metrics-addr 127.0.0.1:0 \
-    -data-dir "$workdir/wal" -fsync always >"$log" 2>&1 &
+    -data-dir "$workdir/wal" -fsync always \
+    -max-pending 64 -check-timeout 2s -breaker-trip 0.9 >"$log" 2>&1 &
 pid=$!
 
 maddr=""
@@ -64,7 +67,7 @@ fi
 
 curl -fsS "http://$maddr/metrics" >"$workdir/metrics.txt"
 "$workdir/smoke" promcheck <"$workdir/metrics.txt"
-for metric in ctxres_submits_total ctxres_uptime_seconds ctxres_requests_total; do
+for metric in ctxres_submits_total ctxres_uptime_seconds ctxres_requests_total ctxres_breaker_open_sources; do
     if ! grep -q "^$metric " "$workdir/metrics.txt"; then
         echo "smoke: /metrics missing $metric"
         exit 1
